@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import DatabaseParseError, PropagatorContractViolation
@@ -29,7 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--workers", type=int, default=1, help="processes over diagonals")
     enum.add_argument("--out", default="-", help="solutions file ('-' for stdout)")
     enum.add_argument("--stats-out", help="write per-diagonal statistics JSON here")
-    enum.add_argument("--seed", type=int, default=0)
+    enum.add_argument("--seed", type=int, default=0,
+                      help="accepted for compatibility; has no effect, since branching is static")
     enum.add_argument("--dimacs-dump", metavar="DIR", help="dump the axiom CNFs and variable maps here")
     enum.add_argument("--trace", metavar="PATH", help="append a conflict/restart log here")
     enum.add_argument("--raw-order", action="store_true", help="emit solutions in solver order instead of sorting")
@@ -43,6 +45,16 @@ def _build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("stats", help="render a statistics JSON file as a table")
     st.add_argument("path")
     return parser
+
+
+def _check_writable(path: str):
+    """Open `path` for appending, as writing it later would need, and remove
+    it again if this created it; raises OSError when it cannot be written."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _cmd_enumerate(args) -> int:
@@ -74,6 +86,15 @@ def _cmd_enumerate(args) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
+    # fail before a possibly hours-long enumeration, not after it
+    for path in (config.out_path, config.stats_path, config.trace_path):
+        if path in (None, "-"):
+            continue
+        try:
+            _check_writable(path)
+        except OSError as exc:
+            print(f"cannot write {path}: {exc}", file=sys.stderr)
+            return 2
     try:
         solutions, stats = run_enumerate(config)
     except PropagatorContractViolation as exc:

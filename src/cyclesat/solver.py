@@ -1,11 +1,11 @@
 """A self-contained CDCL SAT solver with external-propagator hooks.
 
 Features the enumeration pipeline relies on: two-watched-literal
-propagation, first-UIP clause learning with cheap minimization, VSIDS-style
-activities, Luby restarts, LBD-based deletion of learned clauses,
-incremental solving under assumptions with unsat cores, permanent external
-clauses added during search, and all-solutions enumeration with blocking
-clauses vetted by a user propagator.
+propagation, first-UIP clause learning with cheap minimization, Luby
+restarts, LBD-based deletion of learned clauses, incremental solving under
+assumptions with unsat cores, permanent external clauses added during
+search, and all-solutions enumeration with blocking clauses vetted by a
+user propagator.
 
 Literals are signed integers at the API boundary (DIMACS style) and are
 encoded internally as var<<1 | sign.  Externally added clauses and
@@ -16,7 +16,7 @@ symmetry information whose loss would break completeness of the breaking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import PropagatorContractViolation
 
@@ -87,14 +87,12 @@ class Solver:
     negative for the rest).  The enumeration pipeline numbers the matrix
     variables first, in cell order with values ascending, so the trail
     prefix follows the lexicographic cell order the minimality check
-    consumes.  Activity scores are still kept per variable (bumped during
-    conflict analysis) for clause-quality bookkeeping.
+    consumes.  `seed` is accepted for compatibility and has no effect.
     """
 
     def __init__(self, num_vars: int, num_static: int = 0, seed: int = 0, max_learnts: float = 4000.0):
         self.num_vars = num_vars
         self.num_static = num_static
-        self.seed = seed
         n2 = (num_vars + 1) << 1
         self._val = [0] * n2
         self._watches: list[list[list[int]]] = [[] for _ in range(n2)]
@@ -103,8 +101,6 @@ class Solver:
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
-        self._activity = [0.0] * (num_vars + 1)
-        self._var_inc = 1.0
         self._phase = [1] * (num_static + 1) + [-1] * (num_vars - num_static)
         self._static_head = 1
         self._seen = bytearray(num_vars + 1)
@@ -136,10 +132,6 @@ class Solver:
     def _attach(self, c: list[int]):
         self._watches[c[0]].append(c)
         self._watches[c[1]].append(c)
-
-    def _detach(self, c: list[int]):
-        self._watches[c[0]].remove(c)
-        self._watches[c[1]].remove(c)
 
     def _enqueue(self, enc: int, reason: Optional[list[int]]):
         val = self._val
@@ -180,39 +172,58 @@ class Solver:
 
     def add_clause(self, lits: Sequence[int]) -> bool:
         """Install an original clause; call before or between searches."""
+        self.add_cnf((lits,))
+        return self.ok
+
+    def add_cnf(self, clauses: Iterable[Sequence[int]]):
+        """Install original clauses; call before or between searches.
+
+        Each is stored as `_add_normalised` alone would store it; a clause
+        over distinct variables, none assigned (none can be while the trail
+        is empty), is attached directly."""
         if not self.ok:
-            return False
+            return
         self._cancel_until(0)
-        enc_lits = []
+        trail = self._trail
+        watches = self._watches
+        originals = self._clauses
+        assigned = self._val.__getitem__
+        for cl in clauses:
+            enc = [l + l if l > 0 else 1 - l - l for l in cl]  # _enc, inlined
+            n = len(enc)
+            if n > 1 and len(set(map(abs, cl))) == n and not (trail and any(map(assigned, enc))):
+                originals.append(enc)
+                watches[enc[0]].append(enc)
+                watches[enc[1]].append(enc)
+            elif not self._add_normalised(enc):
+                return
+
+    def _add_normalised(self, enc: list[int]) -> bool:
+        """Install an encoded clause at level 0 minus repeated and false literals
+        (skipped if satisfied or a tautology, propagated if unit); False once unsat."""
+        val = self._val
+        lits = []
         seen = set()
-        for l in lits:
-            e = _enc(l)
+        for e in enc:
             if e ^ 1 in seen:
                 return True  # tautology
             if e in seen:
                 continue
             seen.add(e)
-            if self._val[e] == 1:
+            if val[e] == 1:
                 return True
-            if self._val[e] != -1:
-                enc_lits.append(e)
-        if not enc_lits:
+            if val[e] != -1:
+                lits.append(e)
+        if not lits:
             self.ok = False
             return False
-        if len(enc_lits) == 1:
-            self._enqueue(enc_lits[0], None)
-            if self._propagate() is not None:
-                self.ok = False
-                return False
-            return True
-        self._clauses.append(enc_lits)
-        self._attach(enc_lits)
+        if len(lits) == 1:
+            self._enqueue(lits[0], None)
+            self.ok = self._propagate() is None
+            return self.ok
+        self._clauses.append(lits)
+        self._attach(lits)
         return True
-
-    def add_cnf(self, clauses: Sequence[Sequence[int]]):
-        for cl in clauses:
-            if not self.add_clause(cl):
-                break
 
     # ------------------------------------------------------------- propagation
 
@@ -232,51 +243,45 @@ class Solver:
             qhead += 1
             nprops += 1
             fenc = p ^ 1
-            ws = watches[fenc]
-            i = 0
-            j = 0
-            end = len(ws)
-            while i < end:
-                c = ws[i]
-                i += 1
+            ws = iter(watches[fenc])
+            kept = watches[fenc] = []
+            for c in ws:
+                # a true other watch leaves c as it is; else c[1] is made the false one
                 c0 = c[0]
                 if c0 == fenc:
                     c0 = c[1]
+                    if val[c0] == 1:
+                        kept.append(c)
+                        continue
                     c[0] = c0
                     c[1] = fenc
-                if val[c0] == 1:
-                    ws[j] = c
-                    j += 1
+                elif val[c0] == 1:
+                    kept.append(c)
                     continue
-                moved = False
-                for t in range(2, len(c)):
+                t = 2
+                n = len(c)
+                while t < n:
                     lt = c[t]
                     if val[lt] != -1:
                         c[1] = lt
                         c[t] = fenc
                         watches[lt].append(c)
-                        moved = True
                         break
-                if moved:
-                    continue
-                ws[j] = c
-                j += 1
-                if val[c0] == -1:
-                    while i < end:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    confl = c
-                    qhead = ntrail
-                    break
-                val[c0] = 1
-                val[c0 ^ 1] = -1
-                v = c0 >> 1
-                level[v] = lvl
-                reason[v] = c
-                trail.append(c0)
-                ntrail += 1
-            del ws[j:]
+                    t += 1
+                else:  # no replacement watch: c is unit or false
+                    kept.append(c)
+                    if val[c0] == -1:
+                        kept.extend(ws)  # the unvisited tail stays watched
+                        confl = c
+                        qhead = ntrail
+                        break
+                    val[c0] = 1
+                    val[c0 ^ 1] = -1
+                    v = c0 >> 1
+                    level[v] = lvl
+                    reason[v] = c
+                    trail.append(c0)
+                    ntrail += 1
             if confl is not None:
                 break
         self._qhead = qhead
@@ -284,14 +289,6 @@ class Solver:
         return confl
 
     # ---------------------------------------------------------------- learning
-
-    def _bump(self, v: int):
-        act = self._activity
-        act[v] += self._var_inc
-        if act[v] > 1e100:
-            for i in range(1, self.num_vars + 1):
-                act[i] *= 1e-100
-            self._var_inc *= 1e-100
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int, int]:
         """First-UIP learning. Returns (learnt encoded, backjump level, lbd)."""
@@ -311,7 +308,6 @@ class Solver:
                 v = q >> 1
                 if not seen[v] and level[v] > 0:
                     seen[v] = 1
-                    self._bump(v)
                     if level[v] >= cur:
                         path += 1
                     else:
@@ -362,7 +358,6 @@ class Solver:
             self._lbd[id(learnt)] = lbd
             self._attach(learnt)
             self._enqueue(learnt[0], learnt)
-        self._var_inc /= 0.95
 
     def _on_conflict(self, confl: list[int]) -> bool:
         """Learn from a conflict; False when the formula is proved unsat."""
@@ -396,18 +391,15 @@ class Solver:
             (c for c in self._learnts if id(c) not in locked and len(c) > 2 and self._lbd[id(c)] > 2),
             key=lambda c: (self._lbd[id(c)], -len(c)),
         )
-        drop = set(id(c) for c in ranked[len(ranked) // 2 :])
-        if not drop:
-            self._max_learnts *= 1.3
-            return
-        kept = []
-        for c in self._learnts:
-            if id(c) in drop:
-                self._detach(c)
-                del self._lbd[id(c)]
-            else:
-                kept.append(c)
-        self._learnts = kept
+        dropped = ranked[len(ranked) // 2 :]
+        drop = {id(c) for c in dropped}
+        watches = self._watches
+        # unwatch by identity: a kept clause may hold the same literals
+        for lit in {lit for c in dropped for lit in c[:2]}:
+            watches[lit] = [c for c in watches[lit] if id(c) not in drop]
+        for c in dropped:
+            del self._lbd[id(c)]
+        self._learnts = [c for c in self._learnts if id(c) not in drop]
         self._max_learnts *= 1.3
 
     # ---------------------------------------------------------------- decisions

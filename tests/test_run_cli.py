@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cyclesat import cli
 from cyclesat.cli import main
 from cyclesat.oracle import brute_force_all, is_lex_min, lex_min_reps
 from cyclesat.run import RunConfig, render_stats_table, run_enumerate
@@ -113,6 +114,34 @@ def test_cli_stats_malformed_exits_2(tmp_path, capsys):
     f = tmp_path / "s.json"
     f.write_text("[1, 2]")
     assert run_cli("stats", str(f)) == 2
+
+
+def _no_enumeration(monkeypatch):
+    def fail(config):
+        raise AssertionError("enumerated despite an unwritable output path")
+
+    monkeypatch.setattr(cli, "run_enumerate", fail)
+
+
+def test_cli_unwritable_out_exits_2_before_enumerating(tmp_path, capsys, monkeypatch):
+    _no_enumeration(monkeypatch)
+    out = tmp_path / "missing" / "x.txt"
+    assert run_cli("enumerate", "--size", "3", "--out", str(out)) == 2
+    assert f"cannot write {out}: " in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_cli_unwritable_stats_out_exits_2_and_keeps_out(tmp_path, capsys, monkeypatch):
+    _no_enumeration(monkeypatch)
+    fresh = tmp_path / "fresh.txt"
+    old = tmp_path / "old.txt"
+    old.write_text("kept\n")
+    for out in (fresh, old):
+        # a directory cannot be opened as a file
+        assert run_cli("enumerate", "--size", "3", "--out", str(out), "--stats-out", str(tmp_path)) == 2
+        assert f"cannot write {tmp_path}: " in capsys.readouterr().err
+    assert not fresh.exists()
+    assert old.read_text() == "kept\n"
 
 
 def test_cli_dimacs_dump(tmp_path):

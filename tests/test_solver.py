@@ -1,11 +1,14 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cyclesat.run as run
 from cyclesat.errors import PropagatorContractViolation
-from cyclesat.solver import PropagatorHooks, Solver, _luby
+from cyclesat.run import RunConfig, enumerate_diagonal
+from cyclesat.solver import PropagatorHooks, Solver, _enc, _luby
+from cyclesat.symmetry import representative_diagonals
 
 
 def test_luby_sequence():
@@ -72,13 +75,15 @@ def brute_force_status(clauses, num_vars):
     return "unsat"
 
 
+def literals(num_vars):
+    return st.integers(min_value=1, max_value=num_vars).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_random_cnf_against_truth_table(data):
     num_vars = data.draw(st.integers(min_value=1, max_value=6))
-    lit = st.integers(min_value=1, max_value=num_vars).flatmap(
-        lambda v: st.sampled_from([v, -v])
-    )
+    lit = literals(num_vars)
     clauses = data.draw(
         st.lists(st.lists(lit, min_size=1, max_size=4), min_size=1, max_size=14)
     )
@@ -155,3 +160,125 @@ def test_determinism_same_model_sequence():
         ]
 
     assert run() == run()
+
+
+@st.composite
+def cnfs_with_special_clauses(draw):
+    num_vars = draw(st.integers(min_value=1, max_value=6))
+    lit = literals(num_vars)
+    rest = st.lists(lit, max_size=3)
+    clause = st.one_of(
+        st.lists(lit, max_size=5),
+        st.tuples(lit, rest).map(lambda t: [t[0], *t[1], t[0]]),  # repeated literal
+        st.tuples(lit, rest).map(lambda t: [*t[1], t[0], -t[0]]),  # tautology
+        lit.map(lambda l: [l]),  # unit
+        st.just([]),
+    )
+    return num_vars, draw(st.lists(clause, max_size=16))
+
+
+# In the first example the unit [1] makes [-1, 3] propagate at level 0, which
+# shortens [-3, 2, 4] and falsifies [-3, -1]; the second ends in the empty clause.
+@settings(max_examples=300, deadline=None)
+@given(cnfs_with_special_clauses())
+@example((4, [[1, 2], [-1, 3], [2, 2, 4], [-4, 3, 4], [1], [-3, 2, 4], [-3, -1]]))
+@example((3, [[1, 2, 3], [2], [-2, -1], []]))
+def test_add_cnf_matches_normalising_each_clause(cnf):
+    num_vars, clauses = cnf
+    bulk = Solver(num_vars)
+    bulk.add_cnf(clauses)
+    single = Solver(num_vars)
+    for cl in clauses:
+        if not single._add_normalised([_enc(l) for l in cl]):
+            break
+    assert bulk.ok == single.ok
+    assert bulk._trail == single._trail
+    assert bulk._clauses == single._clauses
+    assert bulk._watches == single._watches
+
+
+def assert_each_clause_watched_twice(s):
+    watched_in = {}
+    for lit, ws in enumerate(s._watches):
+        for c in ws:
+            watched_in.setdefault(id(c), []).append(lit)
+    for c in s._clauses + s._learnts + s._externals:
+        if len(c) >= 2:
+            assert sorted(watched_in.pop(id(c), [])) == sorted(c[:2])
+    assert not watched_in, "a watch list holds a clause the solver no longer keeps"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_watch_lists_stay_consistent_through_search(data):
+    num_vars = data.draw(st.integers(min_value=3, max_value=8))
+    lit = literals(num_vars)
+    clauses = data.draw(st.lists(st.lists(lit, min_size=2, max_size=4), min_size=1, max_size=30))
+    s = Solver(num_vars, num_static=data.draw(st.integers(0, num_vars)),
+               max_learnts=data.draw(st.sampled_from([2.0, 6.0, 4000.0])))
+    s.add_cnf(clauses)
+    for assumptions in data.draw(st.lists(st.lists(lit, max_size=4), max_size=5)):
+        s.solve(assumptions, conflict_budget=data.draw(st.integers(1, 4)))
+        assert_each_clause_watched_twice(s)
+
+    def negation(model):
+        return [-v if model[v] else v for v in range(1, num_vars + 1)]
+
+    # vetoing every model with x1 true installs external clauses
+    hooks = PropagatorHooks(on_complete=lambda m: negation(m) if m[1] else None)
+    for _ in s.enumerate_models(hooks, negation):
+        pass
+    assert_each_clause_watched_twice(s)
+
+
+# Solver.stats() per n=5 diagonal, then, for the incremental backend, the
+# (conflicts, propagations) of the complete and the partial oracle solver.
+# These pin the search itself: an engine change that is meant to leave the
+# search alone must reproduce them exactly.  A change that alters the search
+# on purpose re-records them and says so in CHANGES.md.
+PINNED_N5_SEARCH = {
+    "backtrack": {
+        "(1 2 3 4 5)": (30, 25, 3229, 0, 18),
+        "(1 2 3 4)": (65, 52, 6940, 0, 45),
+        "(1 2 3)(4 5)": (39, 32, 4735, 0, 25),
+        "(1 2 3)": (55, 38, 5766, 0, 29),
+        "(1 2)(3 4)": (111, 75, 10862, 0, 68),
+        "(1 2)": (168, 84, 17905, 0, 78),
+        "id": (370, 222, 33621, 1, 214),
+    },
+    "incremental": {
+        "(1 2 3 4 5)": (30, 25, 3229, 0, 18, (5, 2079), (0, 9)),
+        "(1 2 3 4)": (65, 52, 6940, 0, 45, (39, 14100), (0, 10)),
+        "(1 2 3)(4 5)": (39, 32, 4735, 0, 25, (36, 10269), (0, 9)),
+        "(1 2 3)": (57, 39, 5908, 0, 29, (46, 13811), (0, 9)),
+        "(1 2)(3 4)": (115, 82, 11403, 0, 75, (100, 28004), (1, 688)),
+        "(1 2)": (179, 97, 20387, 0, 86, (128, 37769), (8, 1583)),
+        "id": (565, 389, 56533, 2, 377, (299, 76255), (23, 4548)),
+    },
+}
+
+
+def test_search_pinned_on_every_n5_diagonal(monkeypatch):
+    hooks_made = []
+
+    class RecordingHooks(run.MinimalityHooks):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            hooks_made.append(self)
+
+    monkeypatch.setattr(run, "MinimalityHooks", RecordingHooks)
+    got = {}
+    for backend in PINNED_N5_SEARCH:
+        config = RunConfig(n=5, backend=backend)
+        got[backend] = {}
+        for d in representative_diagonals(5):
+            hooks_made.clear()
+            _, stats = enumerate_diagonal(config, d)
+            e = stats.engine
+            row = (e["decisions"], e["conflicts"], e["propagations"], e["restarts"], e["learned"])
+            for oracle in (hooks_made[0]._complete_oracle, hooks_made[0]._partial_oracle):
+                if oracle is not None:
+                    o = oracle.solver.stats()
+                    row += ((o["conflicts"], o["propagations"]),)
+            got[backend][d.label()] = row
+    assert got == PINNED_N5_SEARCH
