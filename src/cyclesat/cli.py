@@ -6,10 +6,11 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
 from .errors import DatabaseParseError, PropagatorContractViolation
 from .oracle import verify_database
-from .run import RunConfig, render_stats_table, run_enumerate, write_solutions, write_stats
+from .run import DEFAULT_FREQ, RunConfig, render_stats_table, run_enumerate, write_solutions, write_stats
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -22,15 +23,18 @@ def _build_parser() -> argparse.ArgumentParser:
     enum = sub.add_parser("enumerate", help="enumerate lexicographically minimal cycle sets")
     enum.add_argument("--size", "-n", type=int, required=True, help="size of the cycle sets")
     enum.add_argument("--diagonal", default="all", help="cycle notation, e.g. '(1 2)(3 4)', or 'all'")
-    enum.add_argument("--backend", choices=["backtrack", "incremental"], default="incremental")
+    enum.add_argument("--backend", choices=sorted(DEFAULT_FREQ), default=RunConfig.backend)
     enum.add_argument("--freq", type=int, help="run the partial minimality check every FREQ-th decision")
-    enum.add_argument("--node-limit", type=int, default=200, help="node budget of a partial backtracking check")
-    enum.add_argument("--conflict-limit", type=int, default=10, help="conflict budget of a partial oracle check")
-    enum.add_argument("--eo", choices=["binary", "commander"], default="binary", help="ExactlyOne encoding")
-    enum.add_argument("--workers", type=int, default=1, help="processes over diagonals")
+    enum.add_argument("--node-limit", type=int, default=RunConfig.node_limit,
+                      help="node budget of a partial backtracking check")
+    enum.add_argument("--conflict-limit", type=int, default=RunConfig.conflict_limit,
+                      help="conflict budget of a partial oracle check")
+    enum.add_argument("--eo", choices=["binary", "commander"], default=RunConfig.eo_method, help="ExactlyOne encoding")
+    enum.add_argument("--workers", type=int, default=RunConfig.workers,
+                      help="processes over diagonals, dispatched largest centralizer first")
     enum.add_argument("--out", default="-", help="solutions file ('-' for stdout)")
     enum.add_argument("--stats-out", help="write per-diagonal statistics JSON here")
-    enum.add_argument("--seed", type=int, default=0,
+    enum.add_argument("--seed", type=int, default=RunConfig.seed,
                       help="accepted for compatibility; has no effect, since branching is static")
     enum.add_argument("--dimacs-dump", metavar="DIR", help="dump the axiom CNFs and variable maps here")
     enum.add_argument("--trace", metavar="PATH", help="append a conflict/restart log here")
@@ -55,6 +59,14 @@ def _check_writable(path: str):
         pass
     if not existed:
         os.remove(path)
+
+
+def _check_dir_writable(path: str):
+    """Create the directory `path` if missing, as the run would, and write a
+    scratch file in it; raises OSError when it is not a writable directory."""
+    os.makedirs(path, exist_ok=True)
+    with tempfile.TemporaryFile(dir=path):
+        pass
 
 
 def _cmd_enumerate(args) -> int:
@@ -87,11 +99,13 @@ def _cmd_enumerate(args) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     # fail before a possibly hours-long enumeration, not after it
-    for path in (config.out_path, config.stats_path, config.trace_path):
-        if path in (None, "-"):
-            continue
+    outputs = [(path, _check_writable) for path in (config.out_path, config.stats_path, config.trace_path)
+               if path not in (None, "-")]
+    if config.dimacs_dir:
+        outputs.append((config.dimacs_dir, _check_dir_writable))
+    for path, check in outputs:
         try:
-            _check_writable(path)
+            check(path)
         except OSError as exc:
             print(f"cannot write {path}: {exc}", file=sys.stderr)
             return 2

@@ -169,7 +169,8 @@ def _cycloid_links(n: int, diag: tuple[int, ...], vm: VarMap, row: int, col_a: i
     """Clauses forcing y(head_key, b) true when C[C[row,col_a], C[row,col_b]] = b.
 
     Combinations impossible under row bijectivity or the fixed diagonal are
-    skipped; literals on fixed cells are dropped.
+    skipped; literals on fixed cells are dropped, and so are repeats, which
+    arise when the inner cell (x, y) lies in `row`.
     """
     t_row = diag[row - 1]
     i0, j0, k0 = head_key
@@ -194,7 +195,11 @@ def _cycloid_links(n: int, diag: tuple[int, ...], vm: VarMap, row: int, col_a: i
             for b in range(1, n + 1):
                 if b == t_x:
                     continue
-                yield lits + [-vm.matrix_var(x, y, b), vm.y_var(i0, j0, k0, b)]
+                inner = -vm.matrix_var(x, y, b)
+                if inner in lits:
+                    yield lits + [vm.y_var(i0, j0, k0, b)]
+                else:
+                    yield lits + [inner, vm.y_var(i0, j0, k0, b)]
 
 
 def encode_axioms(n: int, diagonal: Diagonal, method: str = "binary") -> Cnf:

@@ -62,10 +62,9 @@ MinCheckOutcome = Union[Minimal, Witness, Propagate, Unknown]
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Node limit for partial checks; frequency is consumed by the caller."""
+    """Node limit for partial checks."""
 
-    max_nodes: int = 200
-    frequency: int = 50
+    max_nodes: int
 
     def __post_init__(self):
         if self.max_nodes < 1:

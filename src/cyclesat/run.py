@@ -27,10 +27,8 @@ from .sat_mincheck import check as oracle_check
 from .solver import PropagatorHooks, Solver
 from .symmetry import Diagonal, representative_diagonals
 
-BACKEND_DEFAULTS = {
-    "backtrack": {"freq": 50, "node_limit": 200},
-    "incremental": {"freq": 100, "conflict_limit": 10},
-}
+# partial minimality check every FREQ-th decision, per backend
+DEFAULT_FREQ = {"backtrack": 50, "incremental": 100}
 
 
 @dataclass
@@ -51,7 +49,7 @@ class RunConfig:
     sorted_output: bool = True
 
     def __post_init__(self):
-        if self.backend not in BACKEND_DEFAULTS:
+        if self.backend not in DEFAULT_FREQ:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.eo_method not in ("binary", "commander"):
             raise ValueError(f"unknown ExactlyOne method {self.eo_method!r}")
@@ -60,7 +58,7 @@ class RunConfig:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.freq is None:
-            self.freq = BACKEND_DEFAULTS[self.backend]["freq"]
+            self.freq = DEFAULT_FREQ[self.backend]
 
 
 @dataclass
@@ -101,12 +99,12 @@ class MinimalityHooks:
         self.diagonal = diagonal
         self.config = config
         self.stats = DiagStats(diagonal=diagonal.label())
+        self._complete_oracle = None
         if config.backend == "incremental":
             self._complete_oracle = OracleInstance("complete", config.n, diagonal, config.eo_method)
-            self._partial_oracle = OracleInstance("partial", config.n, diagonal, config.eo_method)
-        else:
-            self._complete_oracle = None
-            self._partial_oracle = None
+        # built on the first partial check: a diagonal with fewer than `freq`
+        # decisions never makes one
+        self._partial_oracle = None
 
     def _check_complete(self, p: PartialCycleSet):
         if self.config.backend == "backtrack":
@@ -115,9 +113,12 @@ class MinimalityHooks:
 
     def _check_partial(self, p: PartialCycleSet):
         if self.config.backend == "backtrack":
-            budget = SearchBudget(max_nodes=self.config.node_limit, frequency=self.config.freq)
+            budget = SearchBudget(max_nodes=self.config.node_limit)
             return backtrack_check(p, self.diagonal, budget, complete=False)
-        return oracle_check(p, self._partial_oracle, budget=self.config.conflict_limit)
+        config = self.config
+        if self._partial_oracle is None:
+            self._partial_oracle = OracleInstance("partial", config.n, self.diagonal, config.eo_method)
+        return oracle_check(p, self._partial_oracle, budget=config.conflict_limit)
 
     def on_complete(self, model) -> Optional[list[int]]:
         t0 = time.perf_counter()
@@ -231,11 +232,15 @@ def run_enumerate(config: RunConfig) -> tuple[list[CycleSet], dict]:
     per_diag: dict[str, list[CycleSet]] = {}
     stats: dict[str, dict] = {}
     if config.workers > 1 and len(diagonals) > 1:
-        payloads = [(asdict(config), d.label()) for d in diagonals]
+        # longest first, with centralizer order as the length: the identity
+        # diagonal, by far the longest, must not start last
+        longest_first = sorted(diagonals, key=Diagonal.centralizer_order, reverse=True)
+        payloads = [(asdict(config), d.label()) for d in longest_first]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             for label, lines, st in pool.map(_worker, payloads):
                 per_diag[label] = [CycleSet.from_line(s) for s in lines]
                 stats[label] = st
+        stats = {d.label(): stats[d.label()] for d in diagonals}
     else:
         for d in diagonals:
             sols, st = enumerate_diagonal(config, d)

@@ -11,6 +11,8 @@ witness search.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from typing import Iterable, Iterator, Optional
 
 from .cycleset import Permutation
@@ -132,6 +134,14 @@ class Diagonal:
 
     def cycle_type(self) -> tuple[int, ...]:
         return tuple(sorted((len(c) for c in self.cycles), reverse=True))
+
+    def centralizer_order(self) -> int:
+        """Size of the centralizer: the product over cycle lengths l of
+        l**m * m!, where m is the number of cycles of length l."""
+        order = 1
+        for length, m in Counter(len(c) for c in self.cycles).items():
+            order *= length**m * math.factorial(m)
+        return order
 
     def to_permutation(self) -> Permutation:
         return Permutation(self.values())

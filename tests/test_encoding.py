@@ -93,6 +93,14 @@ def test_models_match_brute_force(method):
             assert all(satisfies_axioms(c) for c in got)
 
 
+@pytest.mark.parametrize("method", ["binary", "commander"])
+def test_no_clause_repeats_a_literal(method):
+    for n in range(2, 7):
+        for diag in representative_diagonals(n):
+            for cl in encode_axioms(n, diag, method).clauses:
+                assert len(set(cl)) == len(cl), (n, diag.label(), cl)
+
+
 def test_n2_unique_models():
     got = enumerate_matrices(encode_axioms(2, Diagonal.identity(2)))
     assert got == [CycleSet.from_rows([[1, 2], [1, 2]])]

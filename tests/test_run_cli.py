@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from cyclesat import cli
+from cyclesat import cli, run
 from cyclesat.cli import main
 from cyclesat.oracle import brute_force_all, is_lex_min, lex_min_reps
 from cyclesat.run import RunConfig, render_stats_table, run_enumerate
@@ -48,9 +48,39 @@ def test_non_representative_diagonal_same_count():
 
 
 def test_workers_do_not_change_output():
-    solo, _ = run_enumerate(RunConfig(n=4, backend="backtrack", workers=1))
-    multi, _ = run_enumerate(RunConfig(n=4, backend="backtrack", workers=3))
-    assert [c.to_line() for c in solo] == [c.to_line() for c in multi]
+    for n, backend in ((4, "backtrack"), (5, "incremental")):
+        # solver order, which also shows the per-diagonal merge order
+        solo, solo_stats = run_enumerate(RunConfig(n=n, backend=backend, workers=1, sorted_output=False))
+        multi, multi_stats = run_enumerate(RunConfig(n=n, backend=backend, workers=3, sorted_output=False))
+        assert [c.to_line() for c in solo] == [c.to_line() for c in multi]
+        assert list(multi_stats) == list(solo_stats)
+        for label, st in solo_stats.items():
+            assert multi_stats[label]["solutions"] == st["solutions"]
+            assert multi_stats[label]["engine"] == st["engine"]
+
+
+def test_pool_dispatches_largest_centralizer_first(monkeypatch):
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            submitted.extend(label for _, label in payloads)
+            return map(fn, payloads)
+
+    monkeypatch.setattr(run, "ProcessPoolExecutor", InlinePool)
+    _, stats = run_enumerate(RunConfig(n=4, backend="backtrack", workers=2))
+    # centralizer orders 24, 8, 4, 4, 3; ties keep partition order
+    assert submitted == ["id", "(1 2)(3 4)", "(1 2 3 4)", "(1 2)", "(1 2 3)"]
+    assert list(stats) == [d.label() for d in representative_diagonals(4)]
 
 
 def test_invalid_config_rejected():
@@ -142,6 +172,16 @@ def test_cli_unwritable_stats_out_exits_2_and_keeps_out(tmp_path, capsys, monkey
         assert f"cannot write {tmp_path}: " in capsys.readouterr().err
     assert not fresh.exists()
     assert old.read_text() == "kept\n"
+
+
+def test_cli_dimacs_dump_onto_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    _no_enumeration(monkeypatch)
+    f = tmp_path / "f"
+    f.write_text("kept\n")
+    for dump in (f, f / "sub"):
+        assert run_cli("enumerate", "--size", "3", "--dimacs-dump", str(dump)) == 2
+        assert f"cannot write {dump}: " in capsys.readouterr().err
+    assert f.read_text() == "kept\n"
 
 
 def test_cli_dimacs_dump(tmp_path):

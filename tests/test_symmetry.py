@@ -70,6 +70,12 @@ def test_representatives_cover_all_classes():
         assert types == all_types  # exhaust the conjugacy classes
 
 
+def test_centralizer_order_counts_the_centralizer():
+    for n in range(2, 7):
+        for d in representative_diagonals(n):
+            assert d.centralizer_order() == len(list(centralizer(d))), d.label()
+
+
 def test_fixes_diagonal_examples():
     t = Diagonal(3, [(1,), (2,), (3,)])
     assert fixes_diagonal(Permutation.identity(3), t)
