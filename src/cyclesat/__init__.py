@@ -14,26 +14,22 @@ from .cycleset import (
     PartialCycleSet,
     Permutation,
     apply_permutation,
-    extensions,
     extract_partial,
     satisfies_axioms,
     strictly_below,
 )
 from .encoding import Cnf, VarMap, decode_model, encode_axioms, exactly_one
 from .mincheck import CellLiteral, Minimal, MinCheckOutcome, Propagate, SearchBudget, Unknown, Witness
-from .oracle import brute_force_all, brute_force_diagonal, lex_min_reps, verify_database
+from .oracle import brute_force_all, brute_force_diagonal, extensions, lex_min_reps, verify_database
 from .run import DiagStats, RunConfig, enumerate_diagonal, run_enumerate
 from .sat_mincheck import OracleInstance
 from .solver import PropagatorHooks, SolveResult, Solver
 from .symmetry import (
     Diagonal,
-    PartialPermutation,
     centralizer,
     diagonal_from_partition,
-    extract_permutation,
     fixes_diagonal,
     integer_partitions,
-    propagate_cycle,
     representative_diagonals,
 )
 
@@ -42,7 +38,6 @@ __all__ = [
     "PartialCycleSet",
     "Permutation",
     "apply_permutation",
-    "extensions",
     "extract_partial",
     "satisfies_axioms",
     "strictly_below",
@@ -60,6 +55,7 @@ __all__ = [
     "Witness",
     "brute_force_all",
     "brute_force_diagonal",
+    "extensions",
     "lex_min_reps",
     "verify_database",
     "DiagStats",
@@ -71,12 +67,9 @@ __all__ = [
     "SolveResult",
     "Solver",
     "Diagonal",
-    "PartialPermutation",
     "centralizer",
     "diagonal_from_partition",
-    "extract_permutation",
     "fixes_diagonal",
     "integer_partitions",
-    "propagate_cycle",
     "representative_diagonals",
 ]

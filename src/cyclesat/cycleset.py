@@ -12,32 +12,16 @@ natural integer order.  Domains of partial cycle sets are bitmasks: bit
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
-from .errors import EmptyDomainError, SizeLimitError
+from .errors import EmptyDomainError
 
 Cell = tuple[int, int]
-
-EXTENSIONS_MAX_N = 5
-
-
-def all_cells(n: int) -> list[Cell]:
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
 def cell_index(cell: Cell, n: int) -> int:
     i, j = cell
     return (i - 1) * n + (j - 1)
-
-
-def pred_cell(cell: Cell, n: int) -> Optional[Cell]:
-    """Cell immediately preceding `cell`, or None for (1,1)."""
-    i, j = cell
-    if j > 1:
-        return (i, j - 1)
-    if i > 1:
-        return (i - 1, n)
-    return None
 
 
 def mask_of(values: Iterable[int]) -> int:
@@ -49,10 +33,6 @@ def mask_of(values: Iterable[int]) -> int:
 
 def mask_min(mask: int) -> int:
     return (mask & -mask).bit_length()
-
-
-def mask_max(mask: int) -> int:
-    return mask.bit_length()
 
 
 def mask_values(mask: int) -> list[int]:
@@ -285,28 +265,6 @@ def apply_permutation(pi: Permutation, p):
     return PartialCycleSet(n, out)
 
 
-def domain_leq(s: int, s2: int) -> bool:
-    """max(s) <= min(s2) on bitmask domains."""
-    return mask_max(s) <= mask_min(s2)
-
-
-def domain_lt(s: int, s2: int) -> bool:
-    """max(s) < min(s2) on bitmask domains."""
-    return mask_max(s) < mask_min(s2)
-
-
-def below_upto(p: PartialCycleSet, p2: PartialCycleSet, cell: Cell) -> bool:
-    """True iff domain_leq holds at every cell up to and including `cell`."""
-    if p.n != p2.n:
-        raise ValueError("size mismatch")
-    end = cell_index(cell, p.n)
-    da, db = p.domains, p2.domains
-    for idx in range(end + 1):
-        if da[idx].bit_length() > (db[idx] & -db[idx]).bit_length():
-            return False
-    return True
-
-
 def strictly_below(p: PartialCycleSet, p2: PartialCycleSet) -> Optional[Cell]:
     """First cell where p is strictly below p2 with all earlier cells at-most.
 
@@ -350,58 +308,3 @@ def extract_partial(assignment, varmap) -> PartialCycleSet:
             doms.append(m)
     return PartialCycleSet(n, doms)
 
-
-def _row_candidates(p: PartialCycleSet, i: int) -> Iterator[tuple[int, ...]]:
-    """Rows compatible with p's domains in row i, each a permutation of 1..n."""
-    n = p.n
-    doms = [p.domain(i, j) for j in range(1, n + 1)]
-
-    def rec(j: int, used: int, row: list[int]) -> Iterator[tuple[int, ...]]:
-        if j > n:
-            yield tuple(row)
-            return
-        avail = doms[j - 1] & ~used
-        for v in mask_values(avail):
-            row.append(v)
-            yield from rec(j + 1, used | (1 << (v - 1)), row)
-            row.pop()
-
-    yield from rec(1, 0, [])
-
-
-def _partial_cycloid_ok(rows: list[tuple[int, ...]], n: int) -> bool:
-    """Check cycloid triples whose four lookups stay within the placed rows."""
-    r = len(rows)
-    for x in range(1, r + 1):
-        for y in range(1, r + 1):
-            cxy = rows[x - 1][y - 1]
-            cyx = rows[y - 1][x - 1]
-            if cxy > r or cyx > r:
-                continue
-            for z in range(1, n + 1):
-                if rows[cxy - 1][rows[x - 1][z - 1] - 1] != rows[cyx - 1][rows[y - 1][z - 1] - 1]:
-                    return False
-    return True
-
-
-def extensions(p: PartialCycleSet) -> set[CycleSet]:
-    """All complete cycle sets extending p.  Test-only oracle, n <= 5."""
-    if p.n > EXTENSIONS_MAX_N:
-        raise SizeLimitError(f"extensions() is limited to n <= {EXTENSIONS_MAX_N}")
-    n = p.n
-    out: set[CycleSet] = set()
-
-    def rec(rows: list[tuple[int, ...]]):
-        if len(rows) == n:
-            c = CycleSet.from_rows(rows)
-            if satisfies_axioms(c):
-                out.add(c)
-            return
-        for row in _row_candidates(p, len(rows) + 1):
-            rows.append(row)
-            if _partial_cycloid_ok(rows, n):
-                rec(rows)
-            rows.pop()
-
-    rec([])
-    return out

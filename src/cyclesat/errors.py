@@ -9,10 +9,6 @@ class SizeLimitError(Exception):
     """An operation with a hard size guard was called above its limit."""
 
 
-class InconsistentRefinement(Exception):
-    """Refining a partial permutation emptied a block or mismatched cycle lengths."""
-
-
 class MalformedModelError(Exception):
     """A SAT model does not select exactly one value for some matrix cell."""
 

@@ -12,12 +12,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cycleset import CycleSet, Permutation, apply_permutation, satisfies_axioms
+from .cycleset import CycleSet, PartialCycleSet, Permutation, apply_permutation, full_mask, satisfies_axioms
 from .errors import DatabaseParseError, SizeLimitError
 from .symmetry import Diagonal, centralizer
 
 BRUTE_FORCE_MAX_N = 4
 PER_DIAGONAL_MAX_N = 5
+EXTENSIONS_MAX_N = 5
 LEX_MIN_MAX_N = 5
 
 
@@ -76,6 +77,24 @@ def brute_force_all(n: int) -> set[CycleSet]:
     return set(_search_rows(n, candidates))
 
 
+def extensions(p: PartialCycleSet) -> set[CycleSet]:
+    """All complete cycle sets extending p, each row a permutation inside
+    p's domains.  Test oracle, n <= 5."""
+    n = p.n
+    if n > EXTENSIONS_MAX_N:
+        raise SizeLimitError(f"extensions() is limited to n <= {EXTENSIONS_MAX_N}")
+    perms = list(itertools.permutations(range(1, n + 1)))
+    by_row = {}
+    for i in range(1, n + 1):
+        doms = p.domains[(i - 1) * n : i * n]
+        by_row[i] = [row for row in perms if all(d >> (v - 1) & 1 for d, v in zip(doms, row))]
+
+    def candidates(i: int, rows):
+        return by_row[i]
+
+    return set(_search_rows(n, candidates))
+
+
 def brute_force_diagonal(n: int, diagonal: Diagonal) -> set[CycleSet]:
     """Every cycle set of size n whose diagonal equals the given one."""
     if n > PER_DIAGONAL_MAX_N:
@@ -83,13 +102,8 @@ def brute_force_diagonal(n: int, diagonal: Diagonal) -> set[CycleSet]:
     if diagonal.n != n:
         raise ValueError("diagonal size mismatch")
     diag = diagonal.values()
-    perms = list(itertools.permutations(range(1, n + 1)))
-    by_diag = {i: [p for p in perms if p[i - 1] == diag[i - 1]] for i in range(1, n + 1)}
-
-    def candidates(i: int, rows):
-        return by_diag[i]
-
-    return set(_search_rows(n, candidates))
+    full = full_mask(n)
+    return extensions(PartialCycleSet(n, [1 << (diag[i] - 1) if i == j else full for i in range(n) for j in range(n)]))
 
 
 def lex_min_reps(sets) -> set[CycleSet]:

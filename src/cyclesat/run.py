@@ -204,8 +204,9 @@ def _dump_dimacs(cnf: Cnf, config: RunConfig, diagonal: Diagonal):
     import os
 
     os.makedirs(config.dimacs_dir, exist_ok=True)
-    tag = diagonal.label().replace(" ", "").replace("(", "_").replace(")", "")
-    base = os.path.join(config.dimacs_dir, f"axioms_n{config.n}{tag or '_id'}")
+    # "id" -> "_id", "(1 2)(3 4)" -> "_12_34"
+    tag = diagonal.label().replace(" ", "").replace(")(", "_").strip("()")
+    base = os.path.join(config.dimacs_dir, f"axioms_n{config.n}_{tag}")
     with open(base + ".cnf", "w", encoding="utf-8") as fh:
         fh.write(cnf.to_dimacs())
     with open(base + ".vars", "w", encoding="utf-8") as fh:

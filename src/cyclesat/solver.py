@@ -5,7 +5,7 @@ propagation, first-UIP clause learning with cheap minimization, Luby
 restarts, LBD-based deletion of learned clauses, incremental solving under
 assumptions with unsat cores, permanent external clauses added during
 search, and all-solutions enumeration with blocking clauses vetted by a
-user propagator.
+user propagator.  Solving and enumeration share one search loop.
 
 Literals are signed integers at the API boundary (DIMACS style) and are
 encoded internally as var<<1 | sign.  Externally added clauses and
@@ -92,7 +92,6 @@ class Solver:
 
     def __init__(self, num_vars: int, num_static: int = 0, seed: int = 0, max_learnts: float = 4000.0):
         self.num_vars = num_vars
-        self.num_static = num_static
         n2 = (num_vars + 1) << 1
         self._val = [0] * n2
         self._watches: list[list[list[int]]] = [[] for _ in range(n2)]
@@ -104,8 +103,7 @@ class Solver:
         self._phase = [1] * (num_static + 1) + [-1] * (num_vars - num_static)
         self._static_head = 1
         self._seen = bytearray(num_vars + 1)
-        self._learnts: list[list[int]] = []
-        self._lbd: dict[int, int] = {}
+        self._learnts: list[tuple[int, list[int]]] = []  # (lbd, clause)
         self._externals: list[list[int]] = []
         self._clauses: list[list[int]] = []
         self._max_learnts = max_learnts
@@ -125,9 +123,6 @@ class Solver:
     def value(self, lit: int) -> int:
         """1 if lit true, -1 if false, 0 if unassigned."""
         return self._val[_enc(lit)]
-
-    def assignment_view(self) -> AssignmentView:
-        return AssignmentView(self)
 
     def _attach(self, c: list[int]):
         self._watches[c[0]].append(c)
@@ -354,8 +349,7 @@ class Solver:
         if len(learnt) == 1:
             self._enqueue(learnt[0], None)
         else:
-            self._learnts.append(learnt)
-            self._lbd[id(learnt)] = lbd
+            self._learnts.append((lbd, learnt))
             self._attach(learnt)
             self._enqueue(learnt[0], learnt)
 
@@ -388,18 +382,16 @@ class Solver:
             if r is not None:
                 locked.add(id(r))
         ranked = sorted(
-            (c for c in self._learnts if id(c) not in locked and len(c) > 2 and self._lbd[id(c)] > 2),
-            key=lambda c: (self._lbd[id(c)], -len(c)),
+            (e for e in self._learnts if id(e[1]) not in locked and len(e[1]) > 2 and e[0] > 2),
+            key=lambda e: (e[0], -len(e[1])),
         )
-        dropped = ranked[len(ranked) // 2 :]
+        dropped = [c for _, c in ranked[len(ranked) // 2 :]]
         drop = {id(c) for c in dropped}
         watches = self._watches
         # unwatch by identity: a kept clause may hold the same literals
         for lit in {lit for c in dropped for lit in c[:2]}:
             watches[lit] = [c for c in watches[lit] if id(c) not in drop]
-        for c in dropped:
-            del self._lbd[id(c)]
-        self._learnts = [c for c in self._learnts if id(c) not in drop]
+        self._learnts = [e for e in self._learnts if id(e[1]) not in drop]
         self._max_learnts *= 1.3
 
     # ---------------------------------------------------------------- decisions
@@ -460,30 +452,50 @@ class Solver:
         while keep < limit_keep and held[keep] == asm[keep]:
             keep += 1
         self._cancel_until(keep)
-        budget = conflict_budget
+        return next(self._search(asm, conflict_budget))
+
+    def _search(
+        self,
+        asm: list[int],
+        budget: Optional[int] = None,
+        hooks: Optional[PropagatorHooks] = None,
+        blocking_fn: Optional[Callable[[list[bool]], Sequence[int]]] = None,
+    ) -> Iterator[SolveResult]:
+        """The CDCL main loop, shared by solve() and enumerate_models().
+
+        The encoded assumptions `asm` take levels 1..len(asm), and restarts
+        and a spent conflict budget cancel back to them.  Without hooks the
+        search yields one result, sat, unsat or unknown, and stops.  With
+        hooks it yields a sat result for every full assignment that
+        hooks.on_complete accepts, blocks it with blocking_fn, and ends with
+        unsat once no assignment is left.
+        """
+        nasm = len(asm)
+        on_partial = hooks.on_partial if hooks is not None else None
+        view = AssignmentView(self)
         restart_count = 0
         limit = 100 * _luby(restart_count)
         since_restart = 0
-        nasm = len(asm)
-        while True:
+        while self.ok:
             confl = self._propagate()
             if confl is not None:
                 if not self._on_conflict(confl):
-                    return SolveResult("unsat", core=[])
+                    break
                 since_restart += 1
                 if budget is not None:
                     budget -= 1
                     if budget <= 0:
-                        self._cancel_until(len(self._asm_stack))
-                        return SolveResult("unknown")
+                        self._cancel_until(nasm)
+                        yield SolveResult("unknown")
+                        return
                 continue
             lvl = len(self._trail_lim)
             if lvl < nasm:
                 p = asm[lvl]
                 v = self._val[p]
                 if v == -1:
-                    core = self._analyze_final(p, lvl)
-                    return SolveResult("unsat", core=core)
+                    yield SolveResult("unsat", core=self._analyze_final(p, lvl))
+                    return
                 self._new_level()
                 self._asm_stack.append(p)
                 if v == 0:
@@ -494,8 +506,17 @@ class Solver:
                 val = self._val
                 for v in range(1, self.num_vars + 1):
                     model[v] = val[v << 1] == 1
-                self._cancel_until(nasm)
-                return SolveResult("sat", model=model)
+                if hooks is None:
+                    self._cancel_until(nasm)
+                    yield SolveResult("sat", model=model)
+                    return
+                clause = hooks.on_complete(model)
+                if clause is None:
+                    yield SolveResult("sat", model=model)
+                    clause = blocking_fn(model)
+                if not self._handle_hook_clause(clause, at_full=True):
+                    break
+                continue
             if since_restart >= limit:
                 restart_count += 1
                 self.restarts += 1
@@ -507,10 +528,18 @@ class Solver:
                 continue
             if len(self._learnts) >= self._max_learnts:
                 self._reduce_db()
-            lit = self._pick_branch_lit()
+            # counted before the partial hook, even when its clause preempts the decision
             self.decisions += 1
+            if on_partial is not None and self.decisions % hooks.partial_frequency == 0:
+                clause = on_partial(view)
+                if clause is not None:
+                    if not self._handle_hook_clause(clause, at_full=False):
+                        break
+                    continue
+            lit = self._pick_branch_lit()
             self._new_level()
             self._enqueue(lit, None)
+        yield SolveResult("unsat", core=[])
 
     # ------------------------------------------------------- external clauses
 
@@ -589,50 +618,9 @@ class Solver:
         before every partial_frequency-th decision and may inject a
         falsified or unit clause.
         """
-        view = AssignmentView(self)
-        restart_count = 0
-        limit = 100 * _luby(restart_count)
-        since_restart = 0
-        while self.ok:
-            confl = self._propagate()
-            if confl is not None:
-                if not self._on_conflict(confl):
-                    return
-                since_restart += 1
-                continue
-            if len(self._trail) == self.num_vars:
-                model = [False] * (self.num_vars + 1)
-                val = self._val
-                for v in range(1, self.num_vars + 1):
-                    model[v] = val[v << 1] == 1
-                clause = hooks.on_complete(model)
-                if clause is None:
-                    yield model
-                    clause = blocking_fn(model)
-                if not self._handle_hook_clause(clause, at_full=True):
-                    return
-                continue
-            if since_restart >= limit:
-                restart_count += 1
-                self.restarts += 1
-                if self.trace is not None:
-                    self.trace.write(f"restart {self.restarts}\n")
-                since_restart = 0
-                limit = 100 * _luby(restart_count)
-                self._cancel_until(0)
-                continue
-            if len(self._learnts) >= self._max_learnts:
-                self._reduce_db()
-            self.decisions += 1
-            if hooks.on_partial is not None and self.decisions % hooks.partial_frequency == 0:
-                clause = hooks.on_partial(view)
-                if clause is not None:
-                    if not self._handle_hook_clause(clause, at_full=False):
-                        return
-                    continue
-            lit = self._pick_branch_lit()
-            self._new_level()
-            self._enqueue(lit, None)
+        for res in self._search([], hooks=hooks, blocking_fn=blocking_fn):
+            if res.model is not None:
+                yield res.model
 
     def _handle_hook_clause(self, clause: Sequence[int], at_full: bool) -> bool:
         """Install a propagator clause; False when enumeration is finished."""

@@ -3,9 +3,8 @@ and the ordered-partition representation of sets of permutations.
 
 Only the symmetric group machinery this enumeration needs lives here: the
 diagonal of a cycle set viewed as a permutation in cycle form, one
-representative diagonal per integer partition of n, membership tests for
-the centralizer of a diagonal, and partial permutations refined during the
-witness search.
+representative diagonal per integer partition of n, and membership tests
+for and enumeration of the centralizer of a diagonal.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from collections import Counter
 from typing import Iterable, Iterator, Optional
 
 from .cycleset import Permutation
-from .errors import InconsistentRefinement, SizeLimitError
+from .errors import SizeLimitError
 
 PARTITIONS_MAX_N = 16
 
@@ -257,151 +256,3 @@ def centralizer(diag: Diagonal) -> Iterator[Permutation]:
         for offs in itertools.product(*offset_spaces):
             yield assemble(list(choices), list(offs))
 
-
-class PartialPermutation:
-    """A set of candidate permutations as an ordered list of blocks.
-
-    Each block pairs a group of preimages with the group of their candidate
-    images (equal sizes, image order as written).  For the initial
-    partitions built here the preimage groups are consecutive runs, giving
-    the ordered-partition reading: earlier blocks hold the images of
-    earlier elements.  extract_permutation() zips each block's preimages
-    with its images in written order.
-    """
-
-    __slots__ = ("n", "blocks", "fwd", "inv")
-
-    def __init__(self, n: int, blocks: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]):
-        blocks = tuple((tuple(pre), tuple(img)) for pre, img in blocks)
-        pre_all = [x for pre, _ in blocks for x in pre]
-        img_all = [y for _, img in blocks for y in img]
-        if sorted(pre_all) != list(range(1, n + 1)) or sorted(img_all) != list(range(1, n + 1)):
-            raise ValueError("blocks must partition 1..n on both sides")
-        if any(len(pre) != len(img) for pre, img in blocks):
-            raise ValueError("preimage and image groups must have equal sizes")
-        self.n = n
-        self.blocks = blocks
-        fwd = {}
-        inv = {}
-        for pre, img in blocks:
-            if len(pre) == 1:
-                fwd[pre[0]] = img[0]
-                inv[img[0]] = pre[0]
-        self.fwd = fwd
-        self.inv = inv
-
-    @classmethod
-    def from_image_blocks(cls, blocks: Iterable[Iterable[int]]) -> "PartialPermutation":
-        """Ordered partition of the image space; preimages are consecutive runs."""
-        blocks = [tuple(b) for b in blocks]
-        n = sum(len(b) for b in blocks)
-        out = []
-        pos = 1
-        for img in blocks:
-            out.append((tuple(range(pos, pos + len(img))), img))
-            pos += len(img)
-        return cls(n, out)
-
-    @classmethod
-    def initial(cls, diag: Diagonal) -> "PartialPermutation":
-        """Group elements by the cycle length they have in `diag`.
-
-        Only same-length cycles can map onto each other, so each class is a
-        block mapping onto itself.  Blocks are ordered by smallest element.
-        """
-        by_len: dict[int, list[int]] = {}
-        for x in range(1, diag.n + 1):
-            by_len.setdefault(diag.cycle_len(x), []).append(x)
-        classes = sorted(by_len.values(), key=min)
-        return cls(diag.n, [(tuple(c), tuple(c)) for c in classes])
-
-    def candidates(self, x: int) -> tuple[int, ...]:
-        """Possible images of x."""
-        for pre, img in self.blocks:
-            if x in pre:
-                return img
-        raise ValueError(f"element {x} not covered")
-
-    def candidate_preimages(self, y: int) -> tuple[int, ...]:
-        """Possible preimages of the value y."""
-        for pre, img in self.blocks:
-            if y in img:
-                return pre
-        raise ValueError(f"value {y} not covered")
-
-    def is_complete(self) -> bool:
-        return len(self.fwd) == self.n
-
-    def fix(self, x: int, image: int) -> "PartialPermutation":
-        """Fix x -> image (single element, no cycle propagation)."""
-        if self.fwd.get(x) == image:
-            return self
-        new_blocks = []
-        hit = False
-        for pre, img in self.blocks:
-            if x in pre:
-                if image not in img:
-                    raise InconsistentRefinement(f"{image} not a candidate image of {x}")
-                rest_pre = tuple(e for e in pre if e != x)
-                rest_img = tuple(v for v in img if v != image)
-                new_blocks.append(((x,), (image,)))
-                if rest_pre:
-                    new_blocks.append((rest_pre, rest_img))
-                hit = True
-            else:
-                if image in img:
-                    raise InconsistentRefinement(f"{image} already reserved for another block")
-                new_blocks.append((pre, img))
-        if not hit:
-            raise InconsistentRefinement(f"element {x} not covered")
-        new_blocks.sort(key=lambda b: min(b[0]))
-        return PartialPermutation(self.n, new_blocks)
-
-
-def propagate_cycle(pp: PartialPermutation, diag: Diagonal, x: int, image: int) -> PartialPermutation:
-    """Fix pi(x) = image and everything the diagonal then forces.
-
-    Every element of x's cycle is fixed to the corresponding element of
-    image's cycle; bijectivity is re-enforced by the block splits.
-    """
-    if diag.cycle_len(x) != diag.cycle_len(image):
-        raise InconsistentRefinement(
-            f"cycle length mismatch: |cycle({x})| = {diag.cycle_len(x)}, |cycle({image})| = {diag.cycle_len(image)}"
-        )
-    cur = pp
-    a, b = x, image
-    for _ in range(diag.cycle_len(x)):
-        prev = cur.fwd.get(a)
-        if prev is not None:
-            if prev != b:
-                raise InconsistentRefinement(f"{a} already mapped to {prev}, wanted {b}")
-        else:
-            cur = cur.fix(a, b)
-        a = diag.successor(a)
-        b = diag.successor(b)
-    return cur
-
-
-def extract_permutation(pp: PartialPermutation) -> Permutation:
-    """Complete the partial permutation by zipping each block as written."""
-    images = [0] * (pp.n + 1)
-    for pre, img in pp.blocks:
-        for x, y in zip(pre, img):
-            images[x] = y
-    return Permutation(images[1:])
-
-
-def complete_in_centralizer(pp: PartialPermutation, diag: Diagonal) -> Permutation:
-    """Greedy diagonal-respecting completion: smallest element, smallest image."""
-    cur = pp
-    while not cur.is_complete():
-        x = min(e for e in range(1, cur.n + 1) if e not in cur.fwd)
-        for y in cur.candidates(x):
-            try:
-                cur = propagate_cycle(cur, diag, x, y)
-                break
-            except InconsistentRefinement:
-                continue
-        else:
-            raise InconsistentRefinement(f"no consistent image left for {x}")
-    return extract_permutation(cur)

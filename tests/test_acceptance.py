@@ -19,7 +19,6 @@ from cyclesat.cycleset import (
     CycleSet,
     PartialCycleSet,
     apply_permutation,
-    extensions,
     mask_of,
     strictly_below,
 )
@@ -27,7 +26,7 @@ from cyclesat.encoding import encode_axioms
 from cyclesat.learning import breaking_clause, optimize_clause, propagation_clause
 from cyclesat.mincheck import Minimal, Propagate, Witness
 from cyclesat.mincheck import check as backtrack_check
-from cyclesat.oracle import brute_force_all, brute_force_diagonal, is_lex_min, lex_min_reps
+from cyclesat.oracle import brute_force_all, brute_force_diagonal, extensions, is_lex_min, lex_min_reps
 from cyclesat.run import RunConfig, run_enumerate
 from cyclesat.sat_mincheck import OracleInstance
 from cyclesat.sat_mincheck import check as oracle_check

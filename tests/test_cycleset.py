@@ -8,20 +8,15 @@ from cyclesat.cycleset import (
     CycleSet,
     PartialCycleSet,
     Permutation,
-    all_cells,
     apply_permutation,
-    below_upto,
-    domain_leq,
-    domain_lt,
-    extensions,
+    cell_index,
     extract_partial,
     mask_of,
-    pred_cell,
     satisfies_axioms,
     strictly_below,
 )
 from cyclesat.encoding import encode_axioms
-from cyclesat.errors import EmptyDomainError, SizeLimitError
+from cyclesat.errors import EmptyDomainError
 from cyclesat.symmetry import Diagonal
 
 
@@ -35,29 +30,21 @@ def paper_partial():
 
 
 def test_cell_order_row_major():
-    cells = all_cells(3)
-    assert cells[0] == (1, 1)
-    assert cells[-1] == (3, 3)
-    assert cells.index((1, 3)) < cells.index((2, 1))
-    assert pred_cell((2, 1), 3) == (1, 3)
-    assert pred_cell((1, 1), 3) is None
+    assert cell_index((1, 1), 3) == 0
+    assert cell_index((3, 3), 3) == 8
+    assert cell_index((1, 3), 3) + 1 == cell_index((2, 1), 3)
 
 
 def test_domain_orders():
-    assert domain_lt(mask_of([1]), mask_of([2, 3]))
-    assert domain_leq(mask_of([1]), mask_of([2, 3]))
-    assert not domain_lt(mask_of([1, 2]), mask_of([2, 3]))
-    assert domain_leq(mask_of([1, 2]), mask_of([2, 3]))
-    assert not domain_lt(mask_of([1, 3]), mask_of([2]))
-    assert not domain_leq(mask_of([1, 3]), mask_of([2]))
+    # the domain in cell (1,1) decides; a lower (1,2) breaks a tie at (1,1)
+    def first_strict_cell(s, s2):
+        a = PartialCycleSet(3, [s, mask_of([1])] + [mask_of([3])] * 7)
+        b = PartialCycleSet(3, [s2, mask_of([2])] + [mask_of([3])] * 7)
+        return strictly_below(a, b)
 
-
-def test_below_upto_paper_example():
-    p = paper_partial()
-    # reflexive on the singleton prefix, fails at (3,1) where {1,2} vs {1,2}
-    assert below_upto(p, p, (2, 3))
-    assert not below_upto(p, p, (3, 1))
-    assert strictly_below(p, p) is None
+    assert first_strict_cell(mask_of([1]), mask_of([2, 3])) == (1, 1)  # max < min
+    assert first_strict_cell(mask_of([1, 2]), mask_of([2, 3])) == (1, 2)  # max == min
+    assert first_strict_cell(mask_of([1, 3]), mask_of([2])) is None  # max > min
 
 
 def test_strictly_below_first_cell():
@@ -67,29 +54,13 @@ def test_strictly_below_first_cell():
     assert strictly_below(b, a) is None
 
 
-def test_extensions_paper_example():
-    got = sorted(extensions(paper_partial()))
-    want = sorted([
-        CycleSet.from_rows([[2, 1, 3], [2, 1, 3], [1, 2, 3]]),
-        CycleSet.from_rows([[2, 1, 3], [2, 1, 3], [2, 1, 3]]),
-    ])
-    assert got == want
-
-
-def test_extensions_complete_is_singleton():
-    c = CycleSet.from_rows([[2, 1, 3], [2, 1, 3], [1, 2, 3]])
-    assert extensions(PartialCycleSet.from_cycle_set(c)) == {c}
-
-
-def test_extensions_full_n2():
-    got = extensions(PartialCycleSet.unrestricted(2))
-    want = {CycleSet.from_rows([[1, 2], [1, 2]]), CycleSet.from_rows([[2, 1], [2, 1]])}
-    assert got == want
-
-
-def test_extensions_size_guard():
-    with pytest.raises(SizeLimitError):
-        extensions(PartialCycleSet.unrestricted(6))
+def test_below_upto_paper_example():
+    p = paper_partial()
+    # the singleton prefix up to (2,3) ties; at (3,1) {1,2} is not below {1,2}
+    assert strictly_below(p, p) is None
+    doms = list(p.domains)
+    doms[cell_index((3, 1), 3)] = mask_of([3])
+    assert strictly_below(p, PartialCycleSet(3, doms)) == (3, 1)
 
 
 def test_satisfies_axioms():

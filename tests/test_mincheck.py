@@ -5,7 +5,6 @@ import pytest
 from cyclesat.cycleset import (
     PartialCycleSet,
     apply_permutation,
-    extensions,
     mask_of,
     strictly_below,
 )
@@ -16,10 +15,15 @@ from cyclesat.mincheck import (
     SearchBudget,
     Unknown,
     Witness,
+    _Search,
     check,
 )
-from cyclesat.oracle import brute_force_all, is_lex_min
-from cyclesat.symmetry import Diagonal, fixes_diagonal, representative_diagonals
+from cyclesat.oracle import brute_force_all, extensions, is_lex_min
+from cyclesat.symmetry import (
+    Diagonal,
+    fixes_diagonal,
+    representative_diagonals,
+)
 
 
 def complete_partial(c):
@@ -39,6 +43,16 @@ def random_partial(c, rnd):
         if extra:
             doms[(i - 1) * n + (j - 1)] |= extra
     return PartialCycleSet(n, doms)
+
+
+def search_state(diag):
+    return _Search(PartialCycleSet.unrestricted(diag.n), diag, complete=False, max_nodes=None)
+
+
+def test_completion_lies_in_centralizer():
+    for n in range(2, 6):
+        for d in representative_diagonals(n):
+            assert fixes_diagonal(search_state(d)._completion(), d)
 
 
 def test_complete_checks_match_exhaustive_search_small():

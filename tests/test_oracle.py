@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from cyclesat.cycleset import CycleSet, Permutation, apply_permutation
+from cyclesat.cycleset import CycleSet, PartialCycleSet, Permutation, apply_permutation, mask_of
 from cyclesat.errors import DatabaseParseError, SizeLimitError
 from cyclesat.oracle import (
     brute_force_all,
     brute_force_diagonal,
+    extensions,
     is_lex_min,
     lex_min_reps,
     verify_database,
@@ -33,6 +34,37 @@ def test_per_diagonal_totals_n5():
     for d in representative_diagonals(5):
         total += sum(1 for c in brute_force_diagonal(5, d) if is_lex_min(c, d))
     assert total == 88
+
+
+def test_extensions_paper_example():
+    # [{2} {1} {3} / {2} {1} {3} / {1,2} {1,2} {3}]
+    p = PartialCycleSet(3, [
+        mask_of([2]), mask_of([1]), mask_of([3]),
+        mask_of([2]), mask_of([1]), mask_of([3]),
+        mask_of([1, 2]), mask_of([1, 2]), mask_of([3]),
+    ])
+    got = sorted(extensions(p))
+    want = sorted([
+        CycleSet.from_rows([[2, 1, 3], [2, 1, 3], [1, 2, 3]]),
+        CycleSet.from_rows([[2, 1, 3], [2, 1, 3], [2, 1, 3]]),
+    ])
+    assert got == want
+
+
+def test_extensions_complete_is_singleton():
+    c = CycleSet.from_rows([[2, 1, 3], [2, 1, 3], [1, 2, 3]])
+    assert extensions(PartialCycleSet.from_cycle_set(c)) == {c}
+
+
+def test_extensions_full_n2():
+    got = extensions(PartialCycleSet.unrestricted(2))
+    want = {CycleSet.from_rows([[1, 2], [1, 2]]), CycleSet.from_rows([[2, 1], [2, 1]])}
+    assert got == want
+
+
+def test_extensions_size_guard():
+    with pytest.raises(SizeLimitError):
+        extensions(PartialCycleSet.unrestricted(6))
 
 
 def test_lex_min_reps_orbit_properties():

@@ -188,13 +188,13 @@ def test_cli_dimacs_dump(tmp_path):
     out = tmp_path / "n3.txt"
     dump = tmp_path / "cnf"
     rc = run_cli("enumerate", "--size", "3", "--backend", "backtrack",
-                 "--diagonal", "id", "--out", str(out), "--dimacs-dump", str(dump))
+                 "--out", str(out), "--dimacs-dump", str(dump))
     assert rc == 0
-    cnfs = list(dump.glob("*.cnf"))
-    sidecars = list(dump.glob("*.vars"))
-    assert len(cnfs) == 1 and len(sidecars) == 1
-    assert cnfs[0].read_text().startswith("p cnf ")
-    assert sidecars[0].read_text().startswith("v ")
+    bases = ["axioms_n3_id", "axioms_n3_12", "axioms_n3_123"]  # id, (1 2), (1 2 3)
+    assert sorted(f.name for f in dump.iterdir()) == sorted(b + ext for b in bases for ext in (".cnf", ".vars"))
+    for b in bases:
+        assert (dump / (b + ".cnf")).read_text().startswith("p cnf ")
+        assert (dump / (b + ".vars")).read_text().startswith("v ")
 
 
 def test_cli_trace_log(tmp_path):
@@ -212,6 +212,13 @@ def test_cli_raw_order_flag(tmp_path):
     assert run_cli("enumerate", "--size", "4", "--backend", "backtrack", "--out", str(sorted_out)) == 0
     assert run_cli("enumerate", "--size", "4", "--backend", "backtrack", "--raw-order", "--out", str(raw_out)) == 0
     assert sorted(sorted_out.read_text().splitlines()) == sorted(raw_out.read_text().splitlines())
+
+
+def test_package_exports_resolve():
+    import cyclesat
+
+    assert len(set(cyclesat.__all__)) == len(cyclesat.__all__)
+    assert [name for name in cyclesat.__all__ if not hasattr(cyclesat, name)] == []
 
 
 def test_console_entry_point():

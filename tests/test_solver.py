@@ -202,7 +202,7 @@ def assert_each_clause_watched_twice(s):
     for lit, ws in enumerate(s._watches):
         for c in ws:
             watched_in.setdefault(id(c), []).append(lit)
-    for c in s._clauses + s._learnts + s._externals:
+    for c in s._clauses + [c for _, c in s._learnts] + s._externals:
         if len(c) >= 2:
             assert sorted(watched_in.pop(id(c), [])) == sorted(c[:2])
     assert not watched_in, "a watch list holds a clause the solver no longer keeps"

@@ -4,19 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclesat.cycleset import Permutation
-from cyclesat.errors import InconsistentRefinement, SizeLimitError
+from cyclesat.cycleset import PartialCycleSet, Permutation
+from cyclesat.errors import SizeLimitError
+from cyclesat.mincheck import _Search
 from cyclesat.symmetry import (
     Diagonal,
-    PartialPermutation,
     centralizer,
-    complete_in_centralizer,
     diagonal_from_partition,
-    extract_permutation,
     fixes_diagonal,
     integer_partitions,
     partition_count,
-    propagate_cycle,
     representative_diagonals,
 )
 
@@ -105,73 +102,85 @@ def test_centralizer_is_group_and_matches_commutation():
                     assert a.compose(b).images in members
 
 
+# Fixing x -> y in the minimality search propagates the fix round x's cycle
+# (mincheck._Search._fix_cycle); the search keeps it as fwd/inv arrays.
+
+
+def search_state(diag):
+    return _Search(PartialCycleSet.unrestricted(diag.n), diag, complete=False, max_nodes=None)
+
+
+def snapshot(s):
+    return list(s.fwd), list(s.inv), list(s.trail)
+
+
 def test_propagate_cycle_paper_example():
-    t = Diagonal(6, [(2, 3, 1), (5, 6, 4)])
-    pp = PartialPermutation.initial(t)
-    refined = propagate_cycle(pp, t, 1, 6)
-    assert refined.fwd[1] == 6 and refined.fwd[3] == 5 and refined.fwd[2] == 4
+    # diagonal (2 3 1)(5 6 4): fixing 1 -> 6 carries 1's cycle onto 6's
+    s = search_state(Diagonal(6, [(2, 3, 1), (5, 6, 4)]))
+    assert s._fix_cycle(1, 6)
+    assert (s.fwd[1], s.fwd[3], s.fwd[2]) == (6, 5, 4)
+    assert (s.inv[6], s.inv[5], s.inv[4]) == (1, 3, 2)
+    before = snapshot(s)
+    assert not s._fix_cycle(4, 6)  # 6 is already the image of 1
+    assert snapshot(s) == before
+    # a lone fix 5 -> 3 makes 4 -> 1 clash one step round, at 5 -> 2;
+    # the fix 4 -> 1 made before the clash is undone
+    s.fwd[5], s.inv[3] = 3, 5
+    s.trail.append((5, 3))
+    before = snapshot(s)
+    assert not s._fix_cycle(4, 1)
+    assert snapshot(s) == before
 
 
 def test_propagate_cycle_identity_fixed_point():
-    t = Diagonal.identity(4)
-    pp = PartialPermutation.initial(t)
-    refined = propagate_cycle(pp, t, 1, 1)
-    assert refined.fwd == {1: 1}
-    for pre, img in refined.blocks:
-        if 1 not in pre:
-            assert 1 not in img
-
-
-def test_propagate_cycle_length_mismatch():
-    t = Diagonal(5, [(1, 2, 3), (4, 5)])
-    pp = PartialPermutation.initial(t)
-    with pytest.raises(InconsistentRefinement):
-        propagate_cycle(pp, t, 1, 4)
+    # on the identity a fixed point is a whole cycle, and 1 is no one else's image
+    s = search_state(Diagonal.identity(4))
+    assert s._fix_cycle(1, 1) and s.trail == [(1, 1)]
+    assert s.inv[1] == 1
+    assert not s._fix_cycle(2, 1)
+    assert s.trail == [(1, 1)]
 
 
 def test_propagate_cycle_preserves_partition():
-    t = Diagonal(6, [(1, 2), (3, 4), (5,), (6,)])
-    pp = PartialPermutation.initial(t)
-    refined = propagate_cycle(pp, t, 1, 3)
-    pre_all = sorted(x for pre, _ in refined.blocks for x in pre)
-    img_all = sorted(y for _, img in refined.blocks for y in img)
-    assert pre_all == list(range(1, 7)) and img_all == list(range(1, 7))
-
-
-def test_extract_permutation_written_order():
-    pp = PartialPermutation.from_image_blocks([(6, 5, 4), (3,), (2, 1)])
-    assert extract_permutation(pp).images == (6, 5, 4, 3, 2, 1)
-    pp2 = PartialPermutation.from_image_blocks([(2,), (1,)])
-    assert extract_permutation(pp2).images == (2, 1)
-
-
-def test_initial_partition_extract_fixes_diagonal():
-    for n in range(2, 6):
-        for d in representative_diagonals(n):
-            pi = extract_permutation(PartialPermutation.initial(d))
-            assert fixes_diagonal(pi, d)
-            assert fixes_diagonal(complete_in_centralizer(PartialPermutation.initial(d), d), d)
+    # fwd and inv stay a partial bijection of 1..n onto 1..n
+    s = search_state(Diagonal(6, [(1, 2), (3, 4), (5,), (6,)]))
+    assert s._fix_cycle(1, 3)
+    assert (s.fwd[1], s.fwd[2]) == (3, 4)
+    fixed = [a for a in range(1, 7) if s.fwd[a]]
+    assert fixed == [1, 2]
+    assert sorted(s.inv[s.fwd[a]] for a in fixed) == fixed
+    assert sum(1 for b in s.inv if b) == len(fixed)
+    # with 4 already the image of 5, 1 -> 3 clashes one step round, at 2 -> 4,
+    # and the fix 1 -> 3 made before the clash is undone
+    s = search_state(Diagonal(6, [(1, 2), (3, 4), (5,), (6,)]))
+    s.fwd[5], s.inv[4] = 4, 5
+    s.trail.append((5, 4))
+    before = snapshot(s)
+    assert not s._fix_cycle(1, 3)
+    assert snapshot(s) == before
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=6), st.randoms(use_true_random=False))
 def test_random_fix_chains_stay_consistent(n, rnd):
-    parts = sorted(rnd.choice(integer_partitions(n)), reverse=True)
-    d = diagonal_from_partition(parts)
-    pp = PartialPermutation.initial(d)
+    d = diagonal_from_partition(rnd.choice(integer_partitions(n)))
+    s = search_state(d)
     for _ in range(3):
-        unfixed = [x for x in range(1, n + 1) if x not in pp.fwd]
+        unfixed = [x for x in range(1, n + 1) if not s.fwd[x]]
         if not unfixed:
             break
         x = rnd.choice(unfixed)
-        choices = [y for y in pp.candidates(x) if d.cycle_len(y) == d.cycle_len(x)]
-        if not choices:
-            break
-        try:
-            pp = propagate_cycle(pp, d, x, rnd.choice(choices))
-        except InconsistentRefinement:
-            continue
-        pre_all = sorted(e for pre, _ in pp.blocks for e in pre)
-        assert pre_all == list(range(1, n + 1))
-    if pp.is_complete():
-        assert fixes_diagonal(extract_permutation(pp), d)
+        before = snapshot(s)
+        if s._fix_cycle(x, rnd.choice(s.classmates[x])):
+            assert len(s.trail) == len(before[2]) + d.cycle_len(x)
+        else:
+            assert snapshot(s) == before
+        # a partial bijection that commutes with the diagonal where defined
+        fixed = [a for a in range(1, n + 1) if s.fwd[a]]
+        assert sorted(s.inv[s.fwd[a]] for a in fixed) == fixed
+        assert sum(1 for b in s.inv if b) == len(fixed)
+        for a in fixed:
+            assert s.fwd[d.successor(a)] == d.successor(s.fwd[a])
+        before = snapshot(s)
+        assert fixes_diagonal(s._completion(), d)
+        assert snapshot(s) == before
