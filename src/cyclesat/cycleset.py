@@ -192,11 +192,6 @@ class PartialCycleSet:
     def is_complete(self) -> bool:
         return all(m & (m - 1) == 0 for m in self.domains)
 
-    def to_cycle_set(self) -> CycleSet:
-        if not self.is_complete():
-            raise ValueError("partial cycle set has undefined cells")
-        return CycleSet(self.n, [mask_min(m) for m in self.domains])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PartialCycleSet) and self.domains == other.domains
 

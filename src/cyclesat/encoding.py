@@ -121,7 +121,6 @@ class VarMap:
                 for k in range(1, n + 1):
                     for b in range(1, n + 1):
                         self._y[(i, j, k, b)] = alloc.fresh()
-        self.num_y_vars = alloc.next_var - 1 - self.num_matrix_vars
         self.alloc = alloc
         self._triple = {var: t for t, var in self._matrix.items()}
 

@@ -1,11 +1,12 @@
 """Per-diagonal enumeration: wiring the engine, minimality hooks, and stats.
 
 Each selected diagonal is an independent subproblem: its axioms are
-encoded, a fresh solver enumerates models, and a minimality backend vets
-every full assignment (and, at the configured frequency, partial ones)
-through the propagator hooks.  Diagonals can run in separate processes;
-results are merged and sorted afterwards, so the worker count never
-changes the output.
+encoded, and one `solve` call of a fresh solver enumerates it.  The
+propagator hooks run a minimality backend on every full assignment (and,
+at the configured frequency, on partial ones); a minimal model is recorded
+and blocked, a non-minimal one cut off with a breaking clause.  Diagonals
+can run in separate processes; results are merged and sorted afterwards,
+so the worker count never changes the output.
 """
 
 from __future__ import annotations
@@ -55,10 +56,11 @@ class RunConfig:
             raise ValueError(f"unknown ExactlyOne method {self.eo_method!r}")
         if self.n < 2:
             raise ValueError("size must be at least 2")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.freq is None:
             self.freq = DEFAULT_FREQ[self.backend]
+        for name in ("workers", "freq", "node_limit", "conflict_limit"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -92,13 +94,17 @@ class DiagStats:
 
 
 class MinimalityHooks:
-    """Propagator callbacks running the configured minimality backend."""
+    """Propagator callbacks running the configured minimality backend.
+
+    `solutions` collects the minimal models in the order the solver finds them.
+    """
 
     def __init__(self, cnf: Cnf, diagonal: Diagonal, config: RunConfig):
         self.varmap = cnf.varmap
         self.diagonal = diagonal
         self.config = config
         self.stats = DiagStats(diagonal=diagonal.label())
+        self.solutions: list[CycleSet] = []
         self._complete_oracle = None
         if config.backend == "incremental":
             self._complete_oracle = OracleInstance("complete", config.n, diagonal, config.eo_method)
@@ -120,7 +126,8 @@ class MinimalityHooks:
             self._partial_oracle = OracleInstance("partial", config.n, self.diagonal, config.eo_method)
         return oracle_check(p, self._partial_oracle, budget=config.conflict_limit)
 
-    def on_complete(self, model) -> Optional[list[int]]:
+    def on_complete(self, model) -> list[int]:
+        """Record a minimal model and block it, or break a non-minimal one."""
         t0 = time.perf_counter()
         c = decode_model(model, self.varmap)
         p = PartialCycleSet.from_cycle_set(c)
@@ -130,7 +137,8 @@ class MinimalityHooks:
         if isinstance(out, Minimal):
             st.outcomes["complete_minimal"] += 1
             st.time["complete_minimal"] += time.perf_counter() - t0
-            return None
+            self.solutions.append(c)
+            return blocking_clause(c, self.varmap)
         assert isinstance(out, Witness)
         clause = optimize_clause(breaking_clause(p, out.perm, out.cell, self.varmap), self.varmap)
         st.outcomes["complete_witness"] += 1
@@ -181,23 +189,16 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
         on_partial=hooks_impl.on_partial,
         partial_frequency=config.freq,
     )
-    vm = cnf.varmap
-
-    def blocking(model):
-        return blocking_clause(decode_model(model, vm), vm)
-
-    solutions = []
     try:
-        for model in solver.enumerate_models(hooks, blocking):
-            solutions.append(decode_model(model, vm))
+        solver.solve(hooks=hooks)  # unsat once every minimal model is blocked
     finally:
         if trace_fh is not None:
             trace_fh.close()
     st = hooks_impl.stats
-    st.solutions = len(solutions)
+    st.solutions = len(hooks_impl.solutions)
     st.total_time = time.perf_counter() - t0
     st.engine = solver.stats()
-    return solutions, st
+    return hooks_impl.solutions, st
 
 
 def _dump_dimacs(cnf: Cnf, config: RunConfig, diagonal: Diagonal):
@@ -237,7 +238,7 @@ def run_enumerate(config: RunConfig) -> tuple[list[CycleSet], dict]:
         # diagonal, by far the longest, must not start last
         longest_first = sorted(diagonals, key=Diagonal.centralizer_order, reverse=True)
         payloads = [(asdict(config), d.label()) for d in longest_first]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(diagonals))) as pool:
             for label, lines, st in pool.map(_worker, payloads):
                 per_diag[label] = [CycleSet.from_line(s) for s in lines]
                 stats[label] = st

@@ -4,8 +4,11 @@ Features the enumeration pipeline relies on: two-watched-literal
 propagation, first-UIP clause learning with cheap minimization, Luby
 restarts, LBD-based deletion of learned clauses, incremental solving under
 assumptions with unsat cores, permanent external clauses added during
-search, and all-solutions enumeration with blocking clauses vetted by a
-user propagator.  Solving and enumeration share one search loop.
+search, and a user propagator that decides every full assignment: it
+accepts the model, which `solve` then returns, or hands back a clause the
+search installs and goes on from.  Enumeration is such a propagator: it
+records each model it accepts and returns that model's blocking clause,
+so `solve` ends with unsat once no assignment is left.
 
 Literals are signed integers at the API boundary (DIMACS style) and are
 encoded internally as var<<1 | sign.  Externally added clauses and
@@ -16,7 +19,7 @@ symmetry information whose loss would break completeness of the breaking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import PropagatorContractViolation
 
@@ -53,8 +56,9 @@ class SolveResult:
 class PropagatorHooks:
     """Callbacks consulted during search and at full assignments.
 
-    on_complete is called for every full assignment before it is reported;
-    returning a clause suppresses the model and installs the clause.
+    on_complete decides every full assignment: None accepts it, and solve()
+    returns it as a sat result; a clause, which must be falsified by the
+    assignment, rejects it and is installed permanently.
     on_partial is called before every `partial_frequency`-th decision; a
     returned clause must be falsified or unit under the current trail.
     """
@@ -435,13 +439,19 @@ class Solver:
         seen[p_enc >> 1] = 0
         return core
 
-    def solve(self, assumptions: Sequence[int] = (), conflict_budget: Optional[int] = None) -> SolveResult:
+    def solve(
+        self,
+        assumptions: Sequence[int] = (),
+        conflict_budget: Optional[int] = None,
+        hooks: Optional[PropagatorHooks] = None,
+    ) -> SolveResult:
         """Search under assumptions; learned clauses persist across calls.
 
-        Returns SAT with a complete model, UNSAT with a sufficient subset of
-        the assumptions, or UNKNOWN when the conflict budget runs out.
-        Assumption levels shared with the previous call are kept in place,
-        so runs over similar assumption sets skip most re-propagation.
+        Returns SAT with a complete model that hooks.on_complete (if given)
+        accepted, UNSAT with a sufficient subset of the assumptions, or
+        UNKNOWN when the conflict budget runs out.  Assumption levels shared
+        with the previous call are kept in place, so runs over similar
+        assumption sets skip most re-propagation.
         """
         if not self.ok:
             return SolveResult("unsat", core=[])
@@ -452,23 +462,15 @@ class Solver:
         while keep < limit_keep and held[keep] == asm[keep]:
             keep += 1
         self._cancel_until(keep)
-        return next(self._search(asm, conflict_budget))
+        return self._search(asm, conflict_budget, hooks)
 
-    def _search(
-        self,
-        asm: list[int],
-        budget: Optional[int] = None,
-        hooks: Optional[PropagatorHooks] = None,
-        blocking_fn: Optional[Callable[[list[bool]], Sequence[int]]] = None,
-    ) -> Iterator[SolveResult]:
-        """The CDCL main loop, shared by solve() and enumerate_models().
+    def _search(self, asm: list[int], budget: Optional[int], hooks: Optional[PropagatorHooks]) -> SolveResult:
+        """The CDCL main loop.
 
         The encoded assumptions `asm` take levels 1..len(asm), and restarts
-        and a spent conflict budget cancel back to them.  Without hooks the
-        search yields one result, sat, unsat or unknown, and stops.  With
-        hooks it yields a sat result for every full assignment that
-        hooks.on_complete accepts, blocks it with blocking_fn, and ends with
-        unsat once no assignment is left.
+        and a spent conflict budget cancel back to them.  A full assignment
+        goes to hooks.on_complete: None accepts it, and any other answer is
+        a clause to install before the search goes on.
         """
         nasm = len(asm)
         on_partial = hooks.on_partial if hooks is not None else None
@@ -486,16 +488,14 @@ class Solver:
                     budget -= 1
                     if budget <= 0:
                         self._cancel_until(nasm)
-                        yield SolveResult("unknown")
-                        return
+                        return SolveResult("unknown")
                 continue
             lvl = len(self._trail_lim)
             if lvl < nasm:
                 p = asm[lvl]
                 v = self._val[p]
                 if v == -1:
-                    yield SolveResult("unsat", core=self._analyze_final(p, lvl))
-                    return
+                    return SolveResult("unsat", core=self._analyze_final(p, lvl))
                 self._new_level()
                 self._asm_stack.append(p)
                 if v == 0:
@@ -506,14 +506,10 @@ class Solver:
                 val = self._val
                 for v in range(1, self.num_vars + 1):
                     model[v] = val[v << 1] == 1
-                if hooks is None:
-                    self._cancel_until(nasm)
-                    yield SolveResult("sat", model=model)
-                    return
-                clause = hooks.on_complete(model)
+                clause = hooks.on_complete(model) if hooks is not None else None
                 if clause is None:
-                    yield SolveResult("sat", model=model)
-                    clause = blocking_fn(model)
+                    self._cancel_until(nasm)
+                    return SolveResult("sat", model=model)
                 if not self._handle_hook_clause(clause, at_full=True):
                     break
                 continue
@@ -539,7 +535,7 @@ class Solver:
             lit = self._pick_branch_lit()
             self._new_level()
             self._enqueue(lit, None)
-        yield SolveResult("unsat", core=[])
+        return SolveResult("unsat", core=[])
 
     # ------------------------------------------------------- external clauses
 
@@ -607,23 +603,8 @@ class Solver:
             return enc_lits
         return None
 
-    # -------------------------------------------------------------- enumeration
-
-    def enumerate_models(self, hooks: PropagatorHooks, blocking_fn: Callable[[list[bool]], Sequence[int]]) -> Iterator[list[bool]]:
-        """All-solutions search.
-
-        Every full assignment is shown to hooks.on_complete first; if it
-        returns a clause the model is suppressed, otherwise the model is
-        yielded and blocked via blocking_fn.  hooks.on_partial is consulted
-        before every partial_frequency-th decision and may inject a
-        falsified or unit clause.
-        """
-        for res in self._search([], hooks=hooks, blocking_fn=blocking_fn):
-            if res.model is not None:
-                yield res.model
-
     def _handle_hook_clause(self, clause: Sequence[int], at_full: bool) -> bool:
-        """Install a propagator clause; False when enumeration is finished."""
+        """Install a propagator clause; False once the formula is unsat."""
         vals = [self.value(l) for l in clause]
         if any(v == 1 for v in vals):
             raise PropagatorContractViolation("returned clause is satisfied")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .cycleset import Permutation
 from .errors import SizeLimitError
@@ -66,12 +66,12 @@ class Diagonal:
     permutation assigns to x.
     """
 
-    __slots__ = ("n", "cycles", "_succ", "_cycle_of", "_cycle_len")
+    __slots__ = ("n", "cycles", "_succ", "_cycle_len")
 
     def __init__(self, n: int, cycles: Iterable[Iterable[int]]):
         cycles = tuple(tuple(c) for c in cycles)
         succ = [0] * (n + 1)
-        cycle_of: list[Optional[tuple[int, ...]]] = [None] * (n + 1)
+        cycle_len = [0] * (n + 1)
         seen: set[int] = set()
         for cyc in cycles:
             if not cyc:
@@ -81,14 +81,13 @@ class Diagonal:
                     raise ValueError(f"bad cycle element {x}")
                 seen.add(x)
                 succ[x] = cyc[(idx + 1) % len(cyc)]
-                cycle_of[x] = cyc
+                cycle_len[x] = len(cyc)
         if len(seen) != n:
             raise ValueError("cycles do not cover 1..n")
         self.n = n
         self.cycles = cycles
         self._succ = tuple(succ)
-        self._cycle_of = tuple(cycle_of)
-        self._cycle_len = tuple(0 if c is None else len(c) for c in cycle_of)
+        self._cycle_len = tuple(cycle_len)
 
     @classmethod
     def identity(cls, n: int) -> "Diagonal":
@@ -125,9 +124,6 @@ class Diagonal:
     def values(self) -> tuple[int, ...]:
         return self._succ[1:]
 
-    def cycle_of(self, x: int) -> tuple[int, ...]:
-        return self._cycle_of[x]
-
     def cycle_len(self, x: int) -> int:
         return self._cycle_len[x]
 
@@ -141,9 +137,6 @@ class Diagonal:
         for length, m in Counter(len(c) for c in self.cycles).items():
             order *= length**m * math.factorial(m)
         return order
-
-    def to_permutation(self) -> Permutation:
-        return Permutation(self.values())
 
     def label(self) -> str:
         """Cycle notation with fixed points omitted; 'id' for the identity."""

@@ -69,16 +69,18 @@ def enumerate_matrices(cnf, with_aux_check=False):
     """All models of the axiom encoding, decoded to matrices."""
     solver = Solver(cnf.num_vars, num_static=cnf.varmap.num_matrix_vars)
     solver.add_cnf(cnf.clauses)
-    hooks = PropagatorHooks(on_complete=lambda model: None)
+    models = []
 
-    def blocking(model):
+    def record_and_block(model):
+        models.append(model)
         lits = []
         for (i, j, k), var in cnf.varmap._matrix.items():
             if model[var]:
                 lits.append(-var)
         return lits
 
-    return [decode_model(m, cnf.varmap) for m in solver.enumerate_models(hooks, blocking)]
+    solver.solve(hooks=PropagatorHooks(on_complete=record_and_block))
+    return [decode_model(m, cnf.varmap) for m in models]
 
 
 @pytest.mark.parametrize("method", ["binary", "commander"])

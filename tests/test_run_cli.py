@@ -59,12 +59,15 @@ def test_workers_do_not_change_output():
             assert multi_stats[label]["engine"] == st["engine"]
 
 
-def test_pool_dispatches_largest_centralizer_first(monkeypatch):
-    submitted = []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Runs the pool's work in this process; records the pool sizes asked
+    for and the diagonals submitted, in order."""
+    seen = {"max_workers": [], "submitted": []}
 
     class InlinePool:
         def __init__(self, max_workers):
-            pass
+            seen["max_workers"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -73,14 +76,38 @@ def test_pool_dispatches_largest_centralizer_first(monkeypatch):
             return False
 
         def map(self, fn, payloads):
-            submitted.extend(label for _, label in payloads)
+            seen["submitted"].extend(label for _, label in payloads)
             return map(fn, payloads)
 
     monkeypatch.setattr(run, "ProcessPoolExecutor", InlinePool)
+    return seen
+
+
+def test_pool_dispatches_largest_centralizer_first(inline_pool):
     _, stats = run_enumerate(RunConfig(n=4, backend="backtrack", workers=2))
     # centralizer orders 24, 8, 4, 4, 3; ties keep partition order
-    assert submitted == ["id", "(1 2)(3 4)", "(1 2 3 4)", "(1 2)", "(1 2 3)"]
+    assert inline_pool["submitted"] == ["id", "(1 2)(3 4)", "(1 2 3 4)", "(1 2)", "(1 2 3)"]
     assert list(stats) == [d.label() for d in representative_diagonals(4)]
+
+
+def test_pool_never_outnumbers_the_diagonals(inline_pool):
+    sols, _ = run_enumerate(RunConfig(n=3, backend="backtrack", workers=64))
+    assert inline_pool["max_workers"] == [3]  # id, (1 2), (1 2 3)
+    assert len(sols) == 5
+
+
+@pytest.mark.parametrize("backend", ["backtrack", "incremental"])
+def test_one_decode_per_full_assignment(backend, monkeypatch):
+    calls = {"decode_model": 0, "blocking_clause": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(run, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(run, name, counted)
+    sols, stats = run_enumerate(RunConfig(n=4, backend=backend))
+    assert calls["decode_model"] == sum(st["complete_checks"] for st in stats.values())
+    assert calls["blocking_clause"] == len(sols) == 23
 
 
 def test_invalid_config_rejected():
@@ -90,6 +117,10 @@ def test_invalid_config_rejected():
         RunConfig(n=1)
     with pytest.raises(ValueError):
         RunConfig(n=4, eo_method="unary")
+    for field in ("workers", "freq", "node_limit", "conflict_limit"):
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match=field):
+                RunConfig(n=4, **{field: bad})
 
 
 def run_cli(*args):
@@ -148,9 +179,16 @@ def test_cli_stats_malformed_exits_2(tmp_path, capsys):
 
 def _no_enumeration(monkeypatch):
     def fail(config):
-        raise AssertionError("enumerated despite an unwritable output path")
+        raise AssertionError("enumerated despite a command line that must be refused")
 
     monkeypatch.setattr(cli, "run_enumerate", fail)
+
+
+def test_cli_limit_below_one_exits_2_before_enumerating(capsys, monkeypatch):
+    _no_enumeration(monkeypatch)
+    for flag in ("--freq", "--node-limit", "--conflict-limit", "--workers"):
+        assert run_cli("enumerate", "--size", "5", flag, "0") == 2
+        assert "invalid configuration: " in capsys.readouterr().err
 
 
 def test_cli_unwritable_out_exits_2_before_enumerating(tmp_path, capsys, monkeypatch):

@@ -107,14 +107,32 @@ def test_add_external_unit_clause_is_permanent():
     assert res.status == "unsat"
 
 
+def recording_hooks(block, veto=lambda m: None):
+    """Enumeration as a propagator: a model `veto` lets through is recorded
+    and blocked with block(model); a clause from `veto` rejects it."""
+    models = []
+
+    def on_complete(model):
+        clause = veto(model)
+        if clause is not None:
+            return clause
+        models.append(model)
+        return block(model)
+
+    return PropagatorHooks(on_complete=on_complete), models
+
+
+def block_1_2(m):
+    return [-l if m[abs(l)] else l for l in (1, 2)]
+
+
 def test_enumeration_blocks_all_models():
     # models of (x1 or x2): three of them
     s = Solver(2)
     s.add_clause([1, 2])
-    hooks = PropagatorHooks(on_complete=lambda m: None)
-    seen = []
-    for model in s.enumerate_models(hooks, lambda m: [-l if m[abs(l)] else l for l in (1, 2)]):
-        seen.append((model[1], model[2]))
+    hooks, models = recording_hooks(block_1_2)
+    assert s.solve(hooks=hooks).status == "unsat"
+    seen = [(model[1], model[2]) for model in models]
     assert sorted(seen) == [(False, True), (True, False), (True, True)]
 
 
@@ -128,11 +146,26 @@ def test_enumeration_on_complete_vetoes_model():
             return [-1, -2]
         return None
 
-    hooks = PropagatorHooks(on_complete=veto)
-    seen = []
-    for model in s.enumerate_models(hooks, lambda m: [-l if m[abs(l)] else l for l in (1, 2)]):
-        seen.append((model[1], model[2]))
+    hooks, models = recording_hooks(block_1_2, veto)
+    assert s.solve(hooks=hooks).status == "unsat"
+    seen = [(model[1], model[2]) for model in models]
     assert sorted(seen) == [(False, True), (True, False)]
+
+
+def test_solve_returns_the_model_the_hook_accepts():
+    # x1 forces x2; the hook rejects every model with x3 true
+    s = Solver(3, num_static=3)
+    s.add_cnf([[1], [-1, 2]])
+    checked = []
+
+    def no_x3(model):
+        checked.append(tuple(model[1:]))
+        return [-3] if model[3] else None
+
+    res = s.solve(hooks=PropagatorHooks(on_complete=no_x3))
+    assert res.status == "sat" and res.model[1:] == [True, True, False]
+    assert checked == [(True, True, True), (True, True, False)]
+    assert s.solve([3]).status == "unsat"  # the rejecting clause stays
 
 
 def test_hook_contract_violation():
@@ -144,20 +177,16 @@ def test_hook_contract_violation():
 
     hooks = PropagatorHooks(on_complete=bad)
     with pytest.raises(PropagatorContractViolation):
-        list(s.enumerate_models(hooks, lambda m: []))
+        s.solve(hooks=hooks)
 
 
 def test_determinism_same_model_sequence():
     def run():
         s = Solver(3, seed=0)
         s.add_cnf([[1, 2, 3]])
-        hooks = PropagatorHooks(on_complete=lambda m: None)
-        return [
-            tuple(model[1:])
-            for model in s.enumerate_models(
-                hooks, lambda m: [-l if m[l] else l for l in (1, 2, 3)]
-            )
-        ]
+        hooks, models = recording_hooks(lambda m: [-l if m[l] else l for l in (1, 2, 3)])
+        s.solve(hooks=hooks)
+        return [tuple(model[1:]) for model in models]
 
     assert run() == run()
 
@@ -225,9 +254,8 @@ def test_watch_lists_stay_consistent_through_search(data):
         return [-v if model[v] else v for v in range(1, num_vars + 1)]
 
     # vetoing every model with x1 true installs external clauses
-    hooks = PropagatorHooks(on_complete=lambda m: negation(m) if m[1] else None)
-    for _ in s.enumerate_models(hooks, negation):
-        pass
+    hooks, _ = recording_hooks(negation, veto=lambda m: negation(m) if m[1] else None)
+    s.solve(hooks=hooks)
     assert_each_clause_watched_twice(s)
 
 
