@@ -90,14 +90,6 @@ def _cmd_enumerate(args) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    try:
-        if config.diagonal not in (None, "all"):
-            from .symmetry import Diagonal
-
-            Diagonal.parse(config.diagonal, config.n)
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
     # fail before a possibly hours-long enumeration, not after it
     outputs = [(path, _check_writable) for path in (config.out_path, config.stats_path, config.trace_path)
                if path not in (None, "-")]

@@ -56,6 +56,8 @@ class RunConfig:
             raise ValueError(f"unknown ExactlyOne method {self.eo_method!r}")
         if self.n < 2:
             raise ValueError("size must be at least 2")
+        if self.diagonal not in (None, "all"):
+            Diagonal.parse(self.diagonal, self.n)
         if self.freq is None:
             self.freq = DEFAULT_FREQ[self.backend]
         for name in ("workers", "freq", "node_limit", "conflict_limit"):
@@ -87,10 +89,6 @@ class DiagStats:
     })
     total_time: float = 0.0
     engine: dict = field(default_factory=dict)
-
-    @property
-    def mincheck_time(self) -> float:
-        return sum(self.time.values())
 
 
 class MinimalityHooks:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .cycleset import PartialCycleSet, Permutation, apply_permutation, strictly_below
-from .encoding import Cnf, exactly_one, VarAllocator
+from .encoding import exactly_one, VarAllocator
 from .errors import BudgetOnCompleteCheckError, ShapeMismatchError
 from .mincheck import Minimal, MinCheckOutcome, Unknown, Witness
 from .solver import Solver
@@ -196,10 +196,6 @@ class OracleInstance:
         self.chain = chain
 
     # ------------------------------------------------------------------ query
-
-    def to_cnf(self) -> Cnf:
-        """The instance as a plain CNF, for DIMACS dumps."""
-        return Cnf([list(c) for c in self.clauses], self.num_vars)
 
     def assumptions_for(self, p: PartialCycleSet) -> list[int]:
         """Literals pinning the w layer to the given (partial) cycle set."""

@@ -3,17 +3,17 @@
 Features the enumeration pipeline relies on: two-watched-literal
 propagation, first-UIP clause learning with cheap minimization, Luby
 restarts, LBD-based deletion of learned clauses, incremental solving under
-assumptions with unsat cores, permanent external clauses added during
-search, and a user propagator that decides every full assignment: it
+assumptions, and a user propagator that decides every full assignment: it
 accepts the model, which `solve` then returns, or hands back a clause the
 search installs and goes on from.  Enumeration is such a propagator: it
 records each model it accepts and returns that model's blocking clause,
 so `solve` ends with unsat once no assignment is left.
 
 Literals are signed integers at the API boundary (DIMACS style) and are
-encoded internally as var<<1 | sign.  Externally added clauses and
-blocking clauses are pinned: they are never deleted, since they carry
-symmetry information whose loss would break completeness of the breaking.
+encoded internally as var<<1 | sign.  Propagator clauses, breaking and
+blocking clauses among them, are pinned: they are never deleted, since
+they carry symmetry information whose loss would break completeness of
+the breaking.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from .errors import PropagatorContractViolation
 
 def _enc(lit: int) -> int:
     return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
-
-
-def _dec(enc: int) -> int:
-    return (enc >> 1) if not (enc & 1) else -(enc >> 1)
 
 
 def _luby(x: int) -> int:
@@ -49,7 +45,6 @@ def _luby(x: int) -> int:
 class SolveResult:
     status: str  # "sat" | "unsat" | "unknown"
     model: Optional[list[bool]] = None  # indexed by variable, model[0] unused
-    core: Optional[list[int]] = None  # subset of the given assumptions
 
 
 @dataclass
@@ -57,10 +52,11 @@ class PropagatorHooks:
     """Callbacks consulted during search and at full assignments.
 
     on_complete decides every full assignment: None accepts it, and solve()
-    returns it as a sat result; a clause, which must be falsified by the
-    assignment, rejects it and is installed permanently.
-    on_partial is called before every `partial_frequency`-th decision; a
-    returned clause must be falsified or unit under the current trail.
+    returns it as a sat result.  on_partial is called before every
+    `partial_frequency`-th decision and may return None.  Any clause either
+    returns is installed permanently and must be falsified under the
+    current trail, or, from on_partial only, unit; anything else raises
+    PropagatorContractViolation.
     """
 
     on_complete: Callable[[list[bool]], Optional[list[int]]]
@@ -121,13 +117,6 @@ class Solver:
 
     # ------------------------------------------------------------------ basics
 
-    def _current_level(self) -> int:
-        return len(self._trail_lim)
-
-    def value(self, lit: int) -> int:
-        """1 if lit true, -1 if false, 0 if unassigned."""
-        return self._val[_enc(lit)]
-
     def _attach(self, c: list[int]):
         self._watches[c[0]].append(c)
         self._watches[c[1]].append(c)
@@ -168,11 +157,6 @@ class Solver:
         if len(self._asm_stack) > lvl:
             del self._asm_stack[lvl:]
         self._qhead = lim
-
-    def add_clause(self, lits: Sequence[int]) -> bool:
-        """Install an original clause; call before or between searches."""
-        self.add_cnf((lits,))
-        return self.ok
 
     def add_cnf(self, clauses: Iterable[Sequence[int]]):
         """Install original clauses; call before or between searches.
@@ -365,15 +349,9 @@ class Solver:
         if not self._trail_lim:
             self.ok = False
             return False
-        # the clause may sit entirely below the current level (external
-        # clauses, conflicts among batched assumptions): drop down first
-        level = self._level
-        top = max(level[q >> 1] for q in confl)
-        if top == 0:
-            self.ok = False
-            return False
-        if top < len(self._trail_lim):
-            self._cancel_until(top)
+        # confl holds a current-level literal: a propagation conflict
+        # through the literal just propagated, a hook clause through the
+        # backjump to its top level
         learnt, bt, lbd = self._analyze(confl)
         self._record_learnt(learnt, bt, lbd)
         return True
@@ -413,32 +391,6 @@ class Solver:
 
     # ------------------------------------------------------ incremental solving
 
-    def _analyze_final(self, p_enc: int, n_assumption_levels: int) -> list[int]:
-        """Assumptions implying the falsity of assumption literal p."""
-        core = [_dec(p_enc)]
-        if n_assumption_levels == 0:
-            return core
-        seen = self._seen
-        seen[p_enc >> 1] = 1
-        trail = self._trail
-        for idx in range(len(trail) - 1, -1, -1):
-            enc = trail[idx]
-            v = enc >> 1
-            if not seen[v]:
-                continue
-            seen[v] = 0
-            if self._level[v] == 0:
-                continue
-            r = self._reason[v]
-            if r is None:
-                core.append(_dec(enc))
-            else:
-                for q in r[1:]:
-                    if self._level[q >> 1] > 0:
-                        seen[q >> 1] = 1
-        seen[p_enc >> 1] = 0
-        return core
-
     def solve(
         self,
         assumptions: Sequence[int] = (),
@@ -448,13 +400,13 @@ class Solver:
         """Search under assumptions; learned clauses persist across calls.
 
         Returns SAT with a complete model that hooks.on_complete (if given)
-        accepted, UNSAT with a sufficient subset of the assumptions, or
+        accepted, UNSAT when no such model satisfies the assumptions, or
         UNKNOWN when the conflict budget runs out.  Assumption levels shared
         with the previous call are kept in place, so runs over similar
         assumption sets skip most re-propagation.
         """
         if not self.ok:
-            return SolveResult("unsat", core=[])
+            return SolveResult("unsat")
         asm = [_enc(l) for l in assumptions]
         held = self._asm_stack
         keep = 0
@@ -470,7 +422,8 @@ class Solver:
         The encoded assumptions `asm` take levels 1..len(asm), and restarts
         and a spent conflict budget cancel back to them.  A full assignment
         goes to hooks.on_complete: None accepts it, and any other answer is
-        a clause to install before the search goes on.
+        a clause to install before the search goes on, as is a clause from
+        hooks.on_partial.
         """
         nasm = len(asm)
         on_partial = hooks.on_partial if hooks is not None else None
@@ -495,7 +448,7 @@ class Solver:
                 p = asm[lvl]
                 v = self._val[p]
                 if v == -1:
-                    return SolveResult("unsat", core=self._analyze_final(p, lvl))
+                    return SolveResult("unsat")
                 self._new_level()
                 self._asm_stack.append(p)
                 if v == 0:
@@ -510,7 +463,7 @@ class Solver:
                 if clause is None:
                     self._cancel_until(nasm)
                     return SolveResult("sat", model=model)
-                if not self._handle_hook_clause(clause, at_full=True):
+                if not self._handle_hook_clause(clause):
                     break
                 continue
             if since_restart >= limit:
@@ -529,96 +482,56 @@ class Solver:
             if on_partial is not None and self.decisions % hooks.partial_frequency == 0:
                 clause = on_partial(view)
                 if clause is not None:
-                    if not self._handle_hook_clause(clause, at_full=False):
+                    if not self._handle_hook_clause(clause):
                         break
                     continue
             lit = self._pick_branch_lit()
             self._new_level()
             self._enqueue(lit, None)
-        return SolveResult("unsat", core=[])
+        return SolveResult("unsat")
 
-    # ------------------------------------------------------- external clauses
+    # ----------------------------------------------------------- hook clauses
 
-    def add_external_clause(self, lits: Sequence[int]) -> Optional[list[int]]:
-        """Permanently install a clause during search.
+    def _handle_hook_clause(self, clause: Sequence[int]) -> bool:
+        """Install a propagator clause permanently; False once the formula is unsat.
 
-        Returns a conflicting clause for the caller's conflict handling if
-        the clause is falsified (after backjumping to its highest level);
-        propagates immediately if it is unit.  None otherwise.
+        A unit clause goes to level 0, where the main loop propagates it.  A
+        longer one is watched on its free literal, if any, then its false
+        literals by level descending; it propagates that free literal, or
+        else is analysed as a conflict at its top level.
         """
-        if not self.ok:
-            return None
-        enc_lits = []
-        seen = set()
-        for l in lits:
-            e = _enc(l)
-            if e ^ 1 in seen:
-                enc_lits = None  # tautology: nothing to do
-                break
-            if e not in seen:
-                seen.add(e)
-                enc_lits.append(e)
-        if enc_lits is None:
-            return None
-        if not enc_lits:
-            self.ok = False
-            return None
         val = self._val
-        if len(enc_lits) == 1:
-            e = enc_lits[0]
-            self._cancel_until(0)
-            if val[e] == -1:
-                self.ok = False
-                return None
-            if val[e] == 0:
-                self._enqueue(e, None)
-                confl = self._propagate()
-                if confl is not None and not self._on_conflict(confl):
-                    return None
-            return None
-        level = self._level
-        # watch order: satisfied literals, then unassigned, then false by level
-        # descending; a satisfied watch prevents a spurious unit propagation
-        def rank(e: int):
-            v = val[e]
-            if v == 1:
-                return (0, level[e >> 1])
-            if v == 0:
-                return (1, 0)
-            return (2, -level[e >> 1])
-
-        enc_lits.sort(key=rank)
-        self._externals.append(enc_lits)
-        self._attach(enc_lits)
-        first, second = enc_lits[0], enc_lits[1]
-        if val[first] == 0 and val[second] == -1:
-            self._enqueue(first, enc_lits)
-            return None
-        if val[first] == -1:
-            top = max(level[e >> 1] for e in enc_lits)
-            if top == 0:
-                self.ok = False
-                return None
-            self._cancel_until(top)
-            return enc_lits
-        return None
-
-    def _handle_hook_clause(self, clause: Sequence[int], at_full: bool) -> bool:
-        """Install a propagator clause; False once the formula is unsat."""
-        vals = [self.value(l) for l in clause]
-        if any(v == 1 for v in vals):
+        enc = [_enc(l) for l in clause]
+        vals = [val[e] for e in enc]
+        if 1 in vals:
             raise PropagatorContractViolation("returned clause is satisfied")
-        unassigned = sum(1 for v in vals if v == 0)
-        if unassigned > 1:
+        if vals.count(0) > 1:
             raise PropagatorContractViolation("returned clause has several free literals")
-        if unassigned == 1 and at_full:
-            raise PropagatorContractViolation("free literal in a clause at a full assignment")
-        confl = self.add_external_clause(clause)
-        if not self.ok:
+        enc = list(dict.fromkeys(enc))  # a false literal may repeat
+        if not enc:
+            self.ok = False
             return False
-        if confl is not None and not self._on_conflict(confl):
+        if len(enc) == 1:
+            self._cancel_until(0)
+            if val[enc[0]] == -1:
+                self.ok = False
+                return False
+            self._enqueue(enc[0], None)
+            return True
+        level = self._level
+        enc.sort(key=lambda e: (-val[e], -level[e >> 1]))
+        self._externals.append(enc)
+        self._attach(enc)
+        first = enc[0]
+        if val[first] == 0:
+            self._enqueue(first, enc)
+            return True
+        top = level[first >> 1]
+        if top == 0:
+            self.ok = False
             return False
-        return True
+        self._cancel_until(top)
+        return self._on_conflict(enc)
 
     def stats(self) -> dict:
         return {

@@ -117,6 +117,8 @@ def test_invalid_config_rejected():
         RunConfig(n=1)
     with pytest.raises(ValueError):
         RunConfig(n=4, eo_method="unary")
+    with pytest.raises(ValueError, match="out of range"):
+        RunConfig(n=4, diagonal="(1 9)")
     for field in ("workers", "freq", "node_limit", "conflict_limit"):
         for bad in (0, -3):
             with pytest.raises(ValueError, match=field):

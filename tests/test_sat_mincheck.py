@@ -130,10 +130,3 @@ def test_shape_mismatch():
     wrong_diag = complete_partial(CycleSet.from_rows([[2, 1, 3], [2, 1, 3], [1, 2, 3]]))
     with pytest.raises(ShapeMismatchError):
         inst.assumptions_for(wrong_diag)
-
-
-def test_dimacs_dump_shape():
-    inst = OracleInstance("partial", 3, Diagonal.identity(3))
-    text = inst.to_cnf().to_dimacs()
-    head = text.splitlines()[0].split()
-    assert head[:2] == ["p", "cnf"] and int(head[2]) == inst.num_vars

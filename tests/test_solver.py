@@ -23,24 +23,17 @@ def test_basic_sat():
     assert res.model[2] and not res.model[1]
 
 
-def test_unsat_under_assumption_and_core():
+def test_unsat_under_assumption():
     s = Solver(1)
-    s.add_clause([1])
-    res = s.solve([-1])
-    assert res.status == "unsat"
-    assert set(res.core) <= {-1} and res.core
+    s.add_cnf([[1]])
+    assert s.solve([-1]).status == "unsat"
 
 
-def test_core_is_sufficient():
+def test_unsat_under_implied_assumption_conflict():
     # x1 -> x2, x2 -> x3, assume x1 and -x3 plus irrelevant assumptions
     s = Solver(5)
     s.add_cnf([[-1, 2], [-2, 3]])
-    res = s.solve([4, 5, 1, -3])
-    assert res.status == "unsat"
-    core = res.core
-    assert set(core) <= {4, 5, 1, -3}
-    res2 = s.solve(core)
-    assert res2.status == "unsat"
+    assert s.solve([4, 5, 1, -3]).status == "unsat"
 
 
 def test_learned_clauses_persist_and_later_sat():
@@ -97,14 +90,69 @@ def test_random_cnf_against_truth_table(data):
 
 
 def test_add_external_unit_clause_is_permanent():
-    s = Solver(2)
-    s.add_clause([1, 2])
-    assert s.solve().status == "sat"
-    s.add_external_clause([-1])
-    res = s.solve()
+    s = Solver(2, num_static=2)  # positive phases: the first model has x1 true
+    s.add_cnf([[1, 2]])
+    assert s.solve().model[1]
+    hooks = PropagatorHooks(on_complete=lambda model: [-1] if model[1] else None)
+    res = s.solve(hooks=hooks)
     assert res.status == "sat" and not res.model[1]
     res = s.solve([1])
     assert res.status == "unsat"
+
+
+def holds(clause, value):
+    """Literal values of `clause` under value(var) -> True/False/None: each
+    True, False or None (free)."""
+    out = []
+    for l in clause:
+        v = value(abs(l))
+        out.append(None if v is None else v == (l > 0))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lazy_clauses_through_both_hooks_match_truth_table(data):
+    # F is loaded up front; H reaches the solver only through the hooks, as a
+    # clause falsified or unit under the current assignment.  A returned
+    # clause is kept and propagated, so no hook meets it falsified or
+    # unit again.
+    num_vars = data.draw(st.integers(min_value=1, max_value=6))
+    lit = literals(num_vars)
+    cnf = st.lists(st.lists(lit, max_size=4), max_size=12)
+    f, h = data.draw(cnf), data.draw(cnf)
+    models = []
+    returned = set()
+
+    def give(i):
+        assert i not in returned
+        returned.add(i)
+        return h[i]
+
+    def on_partial(view):
+        for i, clause in enumerate(h):
+            vals = holds(clause, view.get)
+            if True not in vals and vals.count(None) <= 1:
+                return give(i)
+        return None
+
+    def on_complete(model):
+        for i, clause in enumerate(h):
+            if True not in holds(clause, model.__getitem__):
+                return give(i)
+        models.append(tuple(model[1:]))
+        return [-v if model[v] else v for v in range(1, num_vars + 1)]
+
+    s = Solver(num_vars, num_static=data.draw(st.integers(0, num_vars)))
+    s.add_cnf(f)
+    hooks = PropagatorHooks(on_complete=on_complete, on_partial=on_partial, partial_frequency=1)
+    assert s.solve(hooks=hooks).status == "unsat"
+    expected = [
+        bits for bits in itertools.product([False, True], repeat=num_vars)
+        if all(any(bits[abs(l) - 1] == (l > 0) for l in cl) for cl in f + h)
+    ]
+    assert len(models) == len(set(models))
+    assert sorted(models) == expected
 
 
 def recording_hooks(block, veto=lambda m: None):
@@ -129,7 +177,7 @@ def block_1_2(m):
 def test_enumeration_blocks_all_models():
     # models of (x1 or x2): three of them
     s = Solver(2)
-    s.add_clause([1, 2])
+    s.add_cnf([[1, 2]])
     hooks, models = recording_hooks(block_1_2)
     assert s.solve(hooks=hooks).status == "unsat"
     seen = [(model[1], model[2]) for model in models]
@@ -139,7 +187,7 @@ def test_enumeration_blocks_all_models():
 def test_enumeration_on_complete_vetoes_model():
     # suppress the all-true model via the hook; it must not be reported
     s = Solver(2)
-    s.add_clause([1, 2])
+    s.add_cnf([[1, 2]])
 
     def veto(model):
         if model[1] and model[2]:
@@ -170,7 +218,7 @@ def test_solve_returns_the_model_the_hook_accepts():
 
 def test_hook_contract_violation():
     s = Solver(2)
-    s.add_clause([1, 2])
+    s.add_cnf([[1, 2]])
 
     def bad(model):
         return [1, 2]  # satisfied by every reported model
