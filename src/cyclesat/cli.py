@@ -11,6 +11,7 @@ import tempfile
 from .errors import DatabaseParseError, PropagatorContractViolation
 from .oracle import verify_database
 from .run import DEFAULT_FREQ, RunConfig, render_stats_table, run_enumerate, write_solutions, write_stats
+from .symmetry import Diagonal
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,8 +114,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    want_diag = None
+    if args.diagonal:
+        try:
+            want_diag = Diagonal.parse(args.diagonal, args.size)
+        except ValueError as exc:
+            print(f"invalid diagonal: {exc}", file=sys.stderr)
+            return 2
     try:
-        report = verify_database(args.path, args.size, per_diagonal=args.diagonal)
+        report = verify_database(args.path, args.size, per_diagonal=want_diag)
     except DatabaseParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -200,7 +200,7 @@ class Report:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def verify_database(path: str, n: int, per_diagonal: Optional[str] = None) -> Report:
+def verify_database(path: str, n: int, per_diagonal: Optional[Diagonal] = None) -> Report:
     """Check a canonical-format solution file.
 
     Flags axiom violations, entries lowered by some centralizer permutation
@@ -211,7 +211,6 @@ def verify_database(path: str, n: int, per_diagonal: Optional[str] = None) -> Re
     report = Report(n=n)
     entries: list[CycleSet] = []
     seen_lines: dict[str, int] = {}
-    want_diag = Diagonal.parse(per_diagonal, n) if per_diagonal else None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -240,14 +239,14 @@ def verify_database(path: str, n: int, per_diagonal: Optional[str] = None) -> Re
                 report.axiom_failures.append(lineno)
                 continue
             diag = Diagonal.from_values(c.diagonal_values())
-            if want_diag is not None and diag != want_diag:
+            if per_diagonal is not None and diag != per_diagonal:
                 report.axiom_failures.append(lineno)
                 continue
             label = diag.label()
             report.per_diagonal_counts[label] = report.per_diagonal_counts.get(label, 0) + 1
             if not is_lex_min(c, diag):
                 report.non_lex_min.append(lineno)
-    if n <= BRUTE_FORCE_MAX_N and want_diag is None:
+    if n <= BRUTE_FORCE_MAX_N and per_diagonal is None:
         have = set(entries)
         perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
         for rep in sorted(lex_min_reps(brute_force_all(n))):

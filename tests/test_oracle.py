@@ -166,10 +166,10 @@ def test_verify_parse_errors(tmp_path):
 
 def test_verify_per_diagonal_restriction(tmp_path):
     f, sols = make_db(tmp_path, 3)
-    report = verify_database(str(f), 3, per_diagonal="id")
+    report = verify_database(str(f), 3, per_diagonal=Diagonal.identity(3))
     # entries with a different diagonal are counted as failures
     assert report.axiom_failures
     only_id = [c for c in sols if c.diagonal_values() == (1, 2, 3)]
     f2 = tmp_path / "id.txt"
     write_lines(f2, [c.to_line() for c in only_id])
-    assert verify_database(str(f2), 3, per_diagonal="id").clean
+    assert verify_database(str(f2), 3, per_diagonal=Diagonal.identity(3)).clean

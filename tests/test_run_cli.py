@@ -168,6 +168,14 @@ def test_cli_verify_parse_error_exits_2(tmp_path, capsys):
     assert run_cli("verify", str(bad), "--size", "2") == 2
 
 
+def test_cli_verify_invalid_diagonal_exits_2(tmp_path, capsys):
+    db = tmp_path / "n3.txt"
+    db.write_text("1 1 1 2 2 2 3 3 3\n")
+    for path in (db, tmp_path / "missing.txt"):  # refused before the file is read
+        assert run_cli("verify", str(path), "-n", "3", "--diagonal", "(1 5)") == 2
+        assert "invalid diagonal:" in capsys.readouterr().err
+
+
 def test_cli_invalid_config_exits_2(capsys):
     assert run_cli("enumerate", "--size", "1") == 2
     assert run_cli("enumerate", "--size", "4", "--diagonal", "(1 9)") == 2

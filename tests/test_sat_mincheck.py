@@ -1,13 +1,15 @@
+import itertools
 import random
 
 import pytest
 
-from cyclesat.cycleset import CycleSet, apply_permutation, strictly_below
+from cyclesat.cycleset import CycleSet, Permutation, apply_permutation, strictly_below
 from cyclesat.errors import BudgetOnCompleteCheckError, ShapeMismatchError
 from cyclesat.mincheck import Minimal, Propagate, Unknown, Witness
 from cyclesat.mincheck import check as backtrack_check
 from cyclesat.oracle import brute_force_all, is_lex_min
-from cyclesat.sat_mincheck import OracleInstance, check
+from cyclesat.run import RunConfig, enumerate_diagonal
+from cyclesat.sat_mincheck import RECENT_WITNESSES, OracleInstance, check
 from cyclesat.symmetry import Diagonal, fixes_diagonal, representative_diagonals
 from test_mincheck import complete_partial, random_partial
 
@@ -83,15 +85,56 @@ def test_partial_vs_backtrack_verdict_compatibility():
 def test_instance_reuse_is_sound():
     rnd = random.Random(29)
     n = 4
-    diag = representative_diagonals(n)[-1]  # identity
-    inst = OracleInstance("complete", n, diag)
-    mats = [c for c in brute_force_all(n) if c.diagonal_values() == diag.values()]
-    seq = mats * 2
-    rnd.shuffle(seq)
-    for c in seq:
-        out = check(complete_partial(c), inst)
-        fresh = check(complete_partial(c), OracleInstance("complete", n, diag))
-        assert isinstance(out, Minimal) == isinstance(fresh, Minimal)
+    all_mats = brute_force_all(n)
+    for diag in representative_diagonals(n):
+        inst = OracleInstance("complete", n, diag)
+        mats = [c for c in all_mats if c.diagonal_values() == diag.values()]
+        seq = mats * 2
+        rnd.shuffle(seq)
+        for c in seq:
+            out = check(complete_partial(c), inst)
+            assert isinstance(out, Minimal) == is_lex_min(c, diag), c.to_line()
+            if isinstance(out, Witness):
+                assert fixes_diagonal(out.perm, diag)
+                assert apply_permutation(out.perm, c).entries < c.entries
+
+
+def test_recent_witness_answers_without_solving():
+    diag = Diagonal.identity(4)
+    mats = [c for c in brute_force_all(4) if c.diagonal_values() == diag.values()]
+    inst = OracleInstance("complete", 4, diag)
+    first = next(c for c in mats if not is_lex_min(c, diag))
+    out = check(complete_partial(first), inst)
+    assert isinstance(out, Witness)
+    pi = out.perm
+    second = next(c for c in mats if c != first and apply_permutation(pi, c).entries < c.entries)
+    p = complete_partial(second)
+    before = inst.solver.stats()
+    again = check(p, inst)
+    assert inst.solver.stats() == before
+    assert isinstance(again, Witness)
+    assert again.perm == pi
+    assert again.cell == strictly_below(apply_permutation(pi, p), p)
+
+
+def test_minimal_after_recent_witnesses_fill():
+    # n=5 identity: relabelled representatives are non-minimal and fill the
+    # list; the representatives themselves must still be proven minimal
+    diag = Diagonal.identity(5)
+    reps, _ = enumerate_diagonal(RunConfig(n=5, backend="backtrack"), diag)
+    inst = OracleInstance("complete", 5, diag)
+    perms = [Permutation(list(t)) for t in itertools.permutations(range(1, 6))]
+    rnd = random.Random(1)
+    for c in reps:
+        for pi in rnd.sample(perms, 3):
+            img = apply_permutation(pi, c)
+            if not is_lex_min(img, diag):
+                assert isinstance(check(complete_partial(img), inst), Witness)
+        if len(inst.recent) == RECENT_WITNESSES:
+            break
+    assert len(inst.recent) == RECENT_WITNESSES
+    for c in reps:
+        assert isinstance(check(complete_partial(c), inst), Minimal), c.to_line()
 
 
 def test_budget_unknown_and_complete_guard():

@@ -324,13 +324,13 @@ PINNED_N5_SEARCH = {
         "id": (370, 222, 33621, 1, 214),
     },
     "incremental": {
-        "(1 2 3 4 5)": (30, 25, 3229, 0, 18, (5, 2079)),
-        "(1 2 3 4)": (65, 52, 6940, 0, 45, (39, 14100)),
-        "(1 2 3)(4 5)": (39, 32, 4735, 0, 25, (36, 10269)),
-        "(1 2 3)": (57, 39, 5908, 0, 29, (46, 13811)),
-        "(1 2)(3 4)": (115, 82, 11403, 0, 75, (100, 28004), (1, 688)),
-        "(1 2)": (179, 97, 20387, 0, 86, (128, 37769), (8, 1583)),
-        "id": (565, 389, 56533, 2, 377, (299, 76255), (23, 4548)),
+        "(1 2 3 4 5)": (30, 25, 3229, 0, 18, (5, 1991)),
+        "(1 2 3 4)": (60, 50, 6681, 0, 43, (39, 13526)),
+        "(1 2 3)(4 5)": (39, 32, 4735, 0, 25, (35, 9930)),
+        "(1 2 3)": (57, 39, 5908, 0, 29, (45, 13003)),
+        "(1 2)(3 4)": (125, 82, 11982, 0, 75, (102, 25238), (1, 802)),
+        "(1 2)": (173, 89, 18790, 0, 80, (116, 26186), (8, 1583)),
+        "id": (455, 292, 43271, 2, 278, (257, 45946), (15, 3086)),
     },
 }
 
