@@ -37,7 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--stats-out", help="write per-diagonal statistics JSON here")
     enum.add_argument("--seed", type=int, default=RunConfig.seed,
                       help="accepted for compatibility; has no effect, since branching is static")
-    enum.add_argument("--dimacs-dump", metavar="DIR", help="dump the axiom CNFs and variable maps here")
+    enum.add_argument("--dimacs-dump", metavar="DIR",
+                      help="dump the axiom CNFs and variable maps here (axioms only, without the "
+                           "symmetry-breaking clauses the search adds)")
     enum.add_argument("--trace", metavar="PATH", help="append a conflict/restart log here")
     enum.add_argument("--raw-order", action="store_true", help="emit solutions in solver order instead of sorting")
 

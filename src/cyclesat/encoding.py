@@ -16,6 +16,7 @@ order relies on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Optional
 
@@ -234,6 +235,71 @@ def encode_axioms(n: int, diagonal: Diagonal, method: str = "binary") -> Cnf:
                     exactly_one([vm.y_var(i, j, k, b) for b in range(1, n + 1)], method, vm.alloc)
                 )
     return Cnf(clauses, vm.num_vars, vm)
+
+
+def lex_leader_clauses(vm: VarMap, first_var: int) -> tuple[list[Clause], int]:
+    """Static symmetry breaking: M <= tau(M) for every transposition tau = (a b)
+    of two fixed points of the diagonal.
+
+    These are the lex-leader predicates of Crawford, Ginsberg, Luks and Roy
+    (KR 1996), in the linear chain form.  Each tau commutes with the
+    diagonal, so a lexicographically minimal cycle set satisfies all of
+    them: they remove no representative, only assignments the minimality
+    check would reject.  The comparison walks the off-diagonal cells in the
+    row-major order of the check (diagonal cells are equal under tau), using
+    tau(M)[c] = k' exactly when M[tau c] = tau(k').  It skips a cell whose
+    image tau(c) comes earlier: equality at tau(c) already gives equality
+    at c.  A chain variable e_t per compared cell means "all earlier cells
+    are equal"; it is defined in both directions, so a full matrix
+    assignment fixes every chain variable and the solver never branches on
+    one.
+
+    Chain variables are numbered from `first_var`.  Returns the clauses and
+    the variable count including the chain variables.
+    """
+    n = vm.n
+    diag = vm.diagonal_values
+    alloc = VarAllocator(first_var)
+    clauses: list[Clause] = []
+    fixed = [x for x in range(1, n + 1) if diag[x - 1] == x]
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for a, b in itertools.combinations(fixed, 2):
+        tau = list(range(n + 1))
+        tau[a], tau[b] = b, a
+        compared = [(i, j) for i, j in cells if (tau[i], tau[j]) >= (i, j)]
+        prefix: list[int] = []  # [-e_t], or nothing before the first cell
+        for i, j in compared:
+            pairs = vm.cell_vars(i, j)
+            if (tau[i], tau[j]) == (i, j):
+                # tau(M)[c] = tau(M[c]): equal unless M[c] is a or b, and
+                # M[c] = b puts tau(M) below M here
+                clauses.append(prefix + [-vm.matrix_var(i, j, b)])
+                if (i, j) == compared[-1]:
+                    break
+                nxt = alloc.fresh()
+                for k, var in pairs:
+                    if k in (a, b):
+                        clauses.append([-nxt, -var])
+                    else:
+                        clauses.append(prefix + [-var, nxt])
+            else:
+                # tau(M)[c] = k' <-> v(tau c, tau k'); tau maps the row's
+                # missing value diag(i) to diag(tau i), so these exist
+                image = {k: vm.matrix_var(tau[i], tau[j], tau[k]) for k, _ in pairs}
+                for k, var in pairs:
+                    for k2, _ in pairs:
+                        if k2 < k:
+                            clauses.append(prefix + [-var, -image[k2]])
+                if (i, j) == compared[-1]:
+                    break
+                nxt = alloc.fresh()
+                for k, var in pairs:
+                    clauses.append(prefix + [-var, -image[k], nxt])
+                    clauses.append([-nxt, -var, image[k]])
+            if prefix:
+                clauses.append([-nxt, -prefix[0]])
+            prefix = [-nxt]
+    return clauses, alloc.next_var - 1
 
 
 def decode_model(model, varmap: VarMap) -> CycleSet:

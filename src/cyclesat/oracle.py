@@ -1,8 +1,12 @@
 """Ground-truth brute force: full enumeration, orbit reduction, database checks.
 
-Everything here is deliberately simple and independent of the SAT pipeline,
-so it can serve as the verification oracle for it.  Orbits are reduced by
-materializing all n! images, which caps the usable size.
+Everything here is deliberately simple and independent of the minimality
+pipeline, so it can serve as the verification oracle for it.  Orbits are
+reduced by materializing all n! images, which caps the usable size.  Above
+that size, `labelled_count` counts every cycle set with a given diagonal
+with the axiom CNF and the CDCL engine alone, and `verify_database` checks
+a file against it through orbit sums: the orbits of a diagonal's
+representatives under the centralizer must cover exactly that many.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cycleset import CycleSet, PartialCycleSet, Permutation, apply_permutation, full_mask, satisfies_axioms
+from .encoding import encode_axioms
 from .errors import DatabaseParseError, SizeLimitError
+from .solver import PropagatorHooks, Solver
 from .symmetry import Diagonal, centralizer
 
 BRUTE_FORCE_MAX_N = 4
@@ -106,6 +112,29 @@ def brute_force_diagonal(n: int, diagonal: Diagonal) -> set[CycleSet]:
     return extensions(PartialCycleSet(n, [1 << (diag[i] - 1) if i == j else full for i in range(n) for j in range(n)]))
 
 
+def labelled_count(n: int, diagonal: Diagonal, method: str = "binary") -> int:
+    """Number of cycle sets of size n whose diagonal equals the given one.
+
+    Every model of the axiom CNF is counted and blocked on its matrix
+    variables, which determine the rest of the model.  No symmetry breaking
+    and no minimality check takes part, so nothing that could over-prune
+    does.
+    """
+    cnf = encode_axioms(n, diagonal, method)
+    matrix_vars = range(1, cnf.varmap.num_matrix_vars + 1)
+    solver = Solver(cnf.num_vars, num_static=cnf.varmap.num_matrix_vars)
+    solver.add_cnf(cnf.clauses)
+    count = 0
+
+    def count_and_block(model) -> list[int]:
+        nonlocal count
+        count += 1
+        return [-v for v in matrix_vars if model[v]]
+
+    solver.solve(hooks=PropagatorHooks(on_complete=count_and_block))
+    return count
+
+
 def lex_min_reps(sets) -> set[CycleSet]:
     """Lex-min representative of each orbit of the input under relabelling.
 
@@ -145,6 +174,21 @@ def is_lex_min(c: CycleSet, diagonal: Optional[Diagonal] = None) -> bool:
     return True
 
 
+def scan_centralizer(c: CycleSet, diagonal: Diagonal) -> tuple[bool, int]:
+    """One pass over the centralizer of c's diagonal: whether no element
+    lowers c, and how many fix it.  The second is |Aut(c)|, since every
+    automorphism of c fixes its diagonal."""
+    lex_min = True
+    automorphisms = 0
+    for pi in centralizer(diagonal):
+        image = apply_permutation(pi, c).entries
+        if image < c.entries:
+            lex_min = False
+        elif image == c.entries:
+            automorphisms += 1
+    return lex_min, automorphisms
+
+
 @dataclass
 class Report:
     """Findings from checking a solution database file."""
@@ -156,6 +200,9 @@ class Report:
     duplicate_lines: list[int] = field(default_factory=list)
     missing_orbits: list[str] = field(default_factory=list)  # canonical lines
     per_diagonal_counts: dict[str, int] = field(default_factory=dict)
+    # sum of |C(diagonal)| / |Aut(C)| over the entries: the labelled cycle
+    # sets their orbits cover
+    orbit_sums: dict[str, int] = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
@@ -176,6 +223,7 @@ class Report:
             "duplicate_lines": self.duplicate_lines,
             "missing_orbits": self.missing_orbits,
             "per_diagonal_counts": self.per_diagonal_counts,
+            "orbit_sums": self.orbit_sums,
         }
 
     def to_text(self) -> str:
@@ -190,9 +238,9 @@ class Report:
         if self.missing_orbits:
             lines.append(f"  missing orbits: {len(self.missing_orbits)}")
             lines.extend(f"    {s}" for s in self.missing_orbits)
-        lines.append("  per-diagonal counts:")
+        lines.append("  per-diagonal counts (orbit sum):")
         for key in sorted(self.per_diagonal_counts):
-            lines.append(f"    {key}: {self.per_diagonal_counts[key]}")
+            lines.append(f"    {key}: {self.per_diagonal_counts[key]} ({self.orbit_sums[key]})")
         lines.append("  verdict: " + ("clean" if self.clean else "FINDINGS"))
         return "\n".join(lines) + "\n"
 
@@ -204,9 +252,11 @@ def verify_database(path: str, n: int, per_diagonal: Optional[Diagonal] = None) 
     """Check a canonical-format solution file.
 
     Flags axiom violations, entries lowered by some centralizer permutation
-    of their own diagonal, duplicate lines, per-diagonal counts, and (n <= 4)
-    orbits of the brute-force reference missing from the file.  When
-    `per_diagonal` is given, every entry must carry exactly that diagonal.
+    of their own diagonal, duplicate lines, and (n <= 4) orbits of the
+    brute-force reference missing from the file.  Reports per-diagonal
+    counts and orbit sums, which `labelled_count` can check at any size.
+    When `per_diagonal` is given, every entry must carry exactly that
+    diagonal.
     """
     report = Report(n=n)
     entries: list[CycleSet] = []
@@ -244,7 +294,10 @@ def verify_database(path: str, n: int, per_diagonal: Optional[Diagonal] = None) 
                 continue
             label = diag.label()
             report.per_diagonal_counts[label] = report.per_diagonal_counts.get(label, 0) + 1
-            if not is_lex_min(c, diag):
+            lex_min, automorphisms = scan_centralizer(c, diag)
+            orbit = diag.centralizer_order() // automorphisms
+            report.orbit_sums[label] = report.orbit_sums.get(label, 0) + orbit
+            if not lex_min:
                 report.non_lex_min.append(lineno)
     if n <= BRUTE_FORCE_MAX_N and per_diagonal is None:
         have = set(entries)

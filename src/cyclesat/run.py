@@ -1,7 +1,8 @@
 """Per-diagonal enumeration: wiring the engine, minimality hooks, and stats.
 
 Each selected diagonal is an independent subproblem: its axioms are
-encoded, and one `solve` call of a fresh solver enumerates it.  The
+encoded, static lex-leader clauses for the swaps of the diagonal's fixed
+points are added, and one `solve` call of a fresh solver enumerates it.  The
 propagator hooks run a minimality backend on every full assignment (and,
 at the configured frequency, on partial ones); a minimal model is recorded
 and blocked, a non-minimal one cut off with a breaking clause.  Diagonals
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 from .cycleset import CycleSet, PartialCycleSet, extract_partial
-from .encoding import Cnf, encode_axioms, decode_model
+from .encoding import Cnf, encode_axioms, decode_model, lex_leader_clauses
 from .errors import NotPropagatingError
 from .learning import blocking_clause, breaking_clause, optimize_clause, propagation_clause
 from .mincheck import Minimal, Propagate, SearchBudget, Unknown, Witness
@@ -26,7 +27,7 @@ from .mincheck import check as backtrack_check
 from .sat_mincheck import OracleInstance
 from .sat_mincheck import check as oracle_check
 from .solver import PropagatorHooks, Solver
-from .symmetry import Diagonal, representative_diagonals
+from .symmetry import PARTITIONS_MAX_N, Diagonal, representative_diagonals
 
 # partial minimality check every FREQ-th decision, per backend
 DEFAULT_FREQ = {"backtrack": 50, "incremental": 100}
@@ -54,8 +55,8 @@ class RunConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.eo_method not in ("binary", "commander"):
             raise ValueError(f"unknown ExactlyOne method {self.eo_method!r}")
-        if self.n < 2:
-            raise ValueError("size must be at least 2")
+        if not 2 <= self.n <= PARTITIONS_MAX_N:
+            raise ValueError(f"size must be between 2 and {PARTITIONS_MAX_N}")
         if self.diagonal not in (None, "all"):
             Diagonal.parse(self.diagonal, self.n)
         if self.freq is None:
@@ -89,6 +90,10 @@ class DiagStats:
     })
     total_time: float = 0.0
     engine: dict = field(default_factory=dict)
+    # incremental backend: complete checks a recent witness answered, and
+    # the complete oracle's solver counters over the remaining solves
+    recent_hits: int = 0
+    complete_oracle: dict = field(default_factory=dict)
 
 
 class MinimalityHooks:
@@ -174,13 +179,15 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
     cnf = encode_axioms(config.n, diagonal, config.eo_method)
     if config.dimacs_dir:
         _dump_dimacs(cnf, config, diagonal)
-    solver = Solver(cnf.num_vars, num_static=cnf.varmap.num_matrix_vars, seed=config.seed)
+    symmetry_clauses, num_vars = lex_leader_clauses(cnf.varmap, cnf.num_vars + 1)
+    solver = Solver(num_vars, num_static=cnf.varmap.num_matrix_vars, seed=config.seed)
     trace_fh = None
     if config.trace_path:
         trace_fh = open(config.trace_path, "a", encoding="utf-8")
         trace_fh.write(f"# diagonal {diagonal.label()}\n")
         solver.trace = trace_fh
     solver.add_cnf(cnf.clauses)
+    solver.add_cnf(symmetry_clauses)
     hooks_impl = MinimalityHooks(cnf, diagonal, config)
     hooks = PropagatorHooks(
         on_complete=hooks_impl.on_complete,
@@ -196,6 +203,10 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
     st.solutions = len(hooks_impl.solutions)
     st.total_time = time.perf_counter() - t0
     st.engine = solver.stats()
+    oracle = hooks_impl._complete_oracle
+    if oracle is not None:
+        st.recent_hits = oracle.recent_hits
+        st.complete_oracle = oracle.solver.stats()
     return hooks_impl.solutions, st
 
 

@@ -64,6 +64,7 @@ class OracleInstance:
         self.solver = Solver(self.num_vars, num_static=self.num_p_vars, max_learnts=1500.0)
         self.solver.add_cnf(self.clauses)
         self.recent: list[Permutation] = []  # last witnesses, most recent first
+        self.recent_hits = 0  # checks a recent witness answered without solving
 
     # ------------------------------------------------------------------ build
 
@@ -253,6 +254,7 @@ def check(p: PartialCycleSet, inst: OracleInstance, budget: Optional[int] = None
         cell = strictly_below(apply_permutation(pi, p), p)
         if cell is not None:
             recent.insert(0, recent.pop(idx))
+            inst.recent_hits += 1
             return Witness(pi, cell)
     res = inst.solver.solve(assumptions, conflict_budget=budget)
     if res.status == "unknown":

@@ -26,7 +26,15 @@ from cyclesat.encoding import encode_axioms
 from cyclesat.learning import breaking_clause, optimize_clause, propagation_clause
 from cyclesat.mincheck import Minimal, Propagate, Witness
 from cyclesat.mincheck import check as backtrack_check
-from cyclesat.oracle import brute_force_all, brute_force_diagonal, extensions, is_lex_min, lex_min_reps
+from cyclesat.oracle import (
+    brute_force_all,
+    brute_force_diagonal,
+    extensions,
+    is_lex_min,
+    labelled_count,
+    lex_min_reps,
+    verify_database,
+)
 from cyclesat.run import RunConfig, run_enumerate
 from cyclesat.sat_mincheck import OracleInstance
 from cyclesat.sat_mincheck import check as oracle_check
@@ -114,6 +122,21 @@ def test_criterion_4_backend_equivalence():
             for line in b:
                 by_diag_b.setdefault(CycleSet.from_line(line).diagonal_values(), []).append(line)
             assert by_diag_a == by_diag_b
+
+
+def test_orbit_sums_match_labelled_counts(tmp_path):
+    # orbit-stabilizer completeness beyond brute force: on every diagonal,
+    # the centralizer orbits of the emitted representatives must cover
+    # every labelled cycle set, counted without symmetry breaking or
+    # minimality checks
+    with criterion("1o", "orbit sums equal labelled counts n<=6, every diagonal"):
+        for n in range(2, 7):
+            path = tmp_path / f"n{n}.txt"
+            path.write_text("".join(line + "\n" for line in enumerate_lines(n, "backtrack")))
+            report = verify_database(str(path), n)
+            assert report.clean, n
+            for d in representative_diagonals(n):
+                assert report.orbit_sums.get(d.label(), 0) == labelled_count(n, d), (n, d.label())
 
 
 def test_criterion_5_minimality_vs_exhaustive_centralizer():

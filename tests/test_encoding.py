@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from cyclesat.cycleset import CycleSet, satisfies_axioms
-from cyclesat.encoding import VarAllocator, decode_model, encode_axioms, exactly_one
+from cyclesat.cycleset import CycleSet, Permutation, apply_permutation, satisfies_axioms
+from cyclesat.encoding import VarAllocator, decode_model, encode_axioms, exactly_one, lex_leader_clauses
 from cyclesat.errors import MalformedModelError
-from cyclesat.oracle import brute_force_all
+from cyclesat.oracle import brute_force_all, brute_force_diagonal, is_lex_min
 from cyclesat.solver import PropagatorHooks, Solver
 from cyclesat.symmetry import Diagonal, representative_diagonals
 
@@ -99,8 +99,76 @@ def test_models_match_brute_force(method):
 def test_no_clause_repeats_a_literal(method):
     for n in range(2, 7):
         for diag in representative_diagonals(n):
-            for cl in encode_axioms(n, diag, method).clauses:
+            cnf = encode_axioms(n, diag, method)
+            symmetry, _ = lex_leader_clauses(cnf.varmap, cnf.num_vars + 1)
+            for cl in cnf.clauses + symmetry:
                 assert len(set(cl)) == len(cl), (n, diag.label(), cl)
+
+
+def fixed_point_swaps(diag):
+    fixed = [x for x in range(1, diag.n + 1) if diag.value(x) == x]
+    for a, b in itertools.combinations(fixed, 2):
+        images = list(range(1, diag.n + 1))
+        images[a - 1], images[b - 1] = b, a
+        yield Permutation(images)
+
+
+def matrix_literals(c, varmap):
+    """Assumptions pinning every matrix variable to the cycle set c."""
+    n = c.n
+    return [var if c.entry(i, j) == k else -var
+            for i in range(1, n + 1) for j in range(1, n + 1) if i != j
+            for k, var in varmap.cell_vars(i, j)]
+
+
+def symmetry_broken_solver(n, diag):
+    cnf = encode_axioms(n, diag)
+    symmetry, num_vars = lex_leader_clauses(cnf.varmap, cnf.num_vars + 1)
+    assert num_vars >= cnf.num_vars
+    solver = Solver(num_vars, num_static=cnf.varmap.num_matrix_vars)
+    solver.add_cnf(cnf.clauses)
+    solver.add_cnf(symmetry)
+    return solver, cnf.varmap
+
+
+def test_lex_leader_clauses_keep_exactly_the_swap_leaders():
+    # every diagonal of every size <= 4, not only the representatives, so
+    # fixed points also sit between moved points
+    by_diag = {}
+    for n in (2, 3, 4):
+        for c in brute_force_all(n):
+            by_diag.setdefault(c.diagonal_values(), []).append(c)
+    for values, mats in by_diag.items():
+        diag = Diagonal.from_values(values)
+        solver, varmap = symmetry_broken_solver(diag.n, diag)
+        swaps = list(fixed_point_swaps(diag))
+        for c in mats:
+            leader = all(apply_permutation(tau, c).entries >= c.entries for tau in swaps)
+            decisions = solver.decisions
+            status = solver.solve(matrix_literals(c, varmap)).status
+            assert status == ("sat" if leader else "unsat"), (diag.label(), c.to_line())
+            # the matrix fixes every chain variable: nothing is left to branch on
+            assert solver.decisions == decisions
+
+
+def test_lex_leader_clauses_keep_every_n5_representative():
+    for diag in representative_diagonals(5):
+        solver, varmap = symmetry_broken_solver(5, diag)
+        reps = [c for c in brute_force_diagonal(5, diag) if is_lex_min(c, diag)]
+        assert reps
+        for c in reps:
+            assert solver.solve(matrix_literals(c, varmap)).status == "sat", (diag.label(), c.to_line())
+
+
+def test_lex_leader_clauses_number_chain_variables_from_first_var():
+    cnf = encode_axioms(4, Diagonal.identity(4))
+    first = cnf.num_vars + 1
+    clauses, num_vars = lex_leader_clauses(cnf.varmap, first)
+    new = {abs(l) for cl in clauses for l in cl if abs(l) > cnf.varmap.num_matrix_vars}
+    assert new == set(range(first, num_vars + 1))
+    # a diagonal without two fixed points has no swap to break
+    none = encode_axioms(4, Diagonal.parse("(1 2 3)", 4))
+    assert lex_leader_clauses(none.varmap, none.num_vars + 1) == ([], none.num_vars)
 
 
 def test_n2_unique_models():

@@ -9,7 +9,9 @@ from cyclesat.oracle import (
     brute_force_diagonal,
     extensions,
     is_lex_min,
+    labelled_count,
     lex_min_reps,
+    scan_centralizer,
     verify_database,
 )
 from cyclesat.symmetry import Diagonal, representative_diagonals
@@ -32,8 +34,28 @@ def test_brute_force_guards():
 def test_per_diagonal_totals_n5():
     total = 0
     for d in representative_diagonals(5):
-        total += sum(1 for c in brute_force_diagonal(5, d) if is_lex_min(c, d))
+        labelled = brute_force_diagonal(5, d)
+        assert labelled_count(5, d) == len(labelled), d.label()
+        total += sum(1 for c in labelled if is_lex_min(c, d))
     assert total == 88
+
+
+@pytest.mark.parametrize("method", ["binary", "commander"])
+def test_labelled_count_matches_brute_force_on_every_diagonal(method):
+    for n in (2, 3, 4):
+        whole = brute_force_all(n)
+        diagonals = {c.diagonal_values() for c in whole}
+        for values in diagonals:
+            want = sum(1 for c in whole if c.diagonal_values() == values)
+            assert labelled_count(n, Diagonal.from_values(values), method) == want, (n, values)
+
+
+def test_scan_centralizer_counts_automorphisms():
+    for c in brute_force_all(3):
+        d = Diagonal.from_values(c.diagonal_values())
+        perms = [Permutation(p) for p in itertools.permutations(range(1, 4))]
+        automorphisms = sum(1 for pi in perms if apply_permutation(pi, c) == c)
+        assert scan_centralizer(c, d) == (is_lex_min(c, d), automorphisms), c.to_line()
 
 
 def test_extensions_paper_example():
@@ -104,6 +126,24 @@ def test_verify_clean_database(tmp_path):
     assert sum(report.per_diagonal_counts.values()) == 23
     assert "clean" in report.to_text()
     assert report.to_json_dict()["clean"] is True
+
+
+def test_verify_orbit_sums_are_labelled_counts(tmp_path):
+    # the lex-min cycle sets on the representative diagonals: their orbits
+    # under each diagonal's centralizer cover its labelled cycle sets
+    whole = brute_force_all(4)
+    labelled, reps = {}, []
+    for d in representative_diagonals(4):
+        mats = [c for c in whole if c.diagonal_values() == d.values()]
+        labelled[d.label()] = len(mats)
+        reps.extend(c for c in mats if is_lex_min(c, d))
+    f = tmp_path / "reps.txt"
+    write_lines(f, [c.to_line() for c in sorted(reps)])
+    report = verify_database(str(f), 4)
+    assert report.clean
+    assert report.orbit_sums == labelled
+    assert report.to_json_dict()["orbit_sums"] == labelled
+    assert f"    id: {report.per_diagonal_counts['id']} ({labelled['id']})" in report.to_text()
 
 
 def test_verify_flags_non_lex_min(tmp_path):

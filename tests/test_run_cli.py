@@ -8,7 +8,8 @@ from cyclesat import cli, run
 from cyclesat.cli import main
 from cyclesat.oracle import brute_force_all, is_lex_min, lex_min_reps
 from cyclesat.run import RunConfig, render_stats_table, run_enumerate
-from cyclesat.symmetry import representative_diagonals
+from cyclesat.solver import Solver
+from cyclesat.symmetry import PARTITIONS_MAX_N, representative_diagonals
 
 
 @pytest.mark.parametrize("backend", ["backtrack", "incremental"])
@@ -17,6 +18,37 @@ def test_small_counts(backend):
         sols, stats = run_enumerate(RunConfig(n=n, backend=backend))
         assert len(sols) == expect
         assert sum(st["solutions"] for st in stats.values()) == expect
+
+
+def test_stats_show_the_incremental_check_solves(monkeypatch):
+    # a complete check either takes a recent witness or solves once
+    solves = []
+    inner = Solver.solve
+
+    def counting(self, *args, **kwargs):
+        solves.append(self)
+        return inner(self, *args, **kwargs)
+
+    hooks_made = []
+
+    class RecordingHooks(run.MinimalityHooks):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            hooks_made.append(self)
+
+    monkeypatch.setattr(Solver, "solve", counting)
+    monkeypatch.setattr(run, "MinimalityHooks", RecordingHooks)
+    _, stats = run_enumerate(RunConfig(n=5, backend="incremental"))
+    assert sum(st["recent_hits"] for st in stats.values()) > 0
+    for hooks in hooks_made:
+        st = stats[hooks.diagonal.label()]
+        oracle = hooks._complete_oracle
+        assert solves.count(oracle.solver) == st["complete_checks"] - st["recent_hits"]
+        assert st["recent_hits"] <= st["outcomes"]["complete_witness"]
+        assert st["complete_oracle"] == oracle.solver.stats()
+    monkeypatch.undo()
+    _, stats = run_enumerate(RunConfig(n=4, backend="backtrack"))
+    assert all(st["recent_hits"] == 0 and st["complete_oracle"] == {} for st in stats.values())
 
 
 def test_outcome_counts_sum_to_check_counts():
@@ -119,6 +151,13 @@ def test_invalid_config_rejected():
         RunConfig(n=4, eo_method="unary")
     with pytest.raises(ValueError, match="out of range"):
         RunConfig(n=4, diagonal="(1 9)")
+    # above the partition table's limit there are no diagonals to enumerate
+    for n in (PARTITIONS_MAX_N + 1, 40):
+        with pytest.raises(ValueError, match="size must be between 2 and"):
+            RunConfig(n=n)
+        with pytest.raises(ValueError, match="size must be between 2 and"):
+            RunConfig(n=n, diagonal="(1 2)")
+    RunConfig(n=PARTITIONS_MAX_N)
     for field in ("workers", "freq", "node_limit", "conflict_limit"):
         for bad in (0, -3):
             with pytest.raises(ValueError, match=field):
@@ -176,9 +215,14 @@ def test_cli_verify_invalid_diagonal_exits_2(tmp_path, capsys):
         assert "invalid diagonal:" in capsys.readouterr().err
 
 
-def test_cli_invalid_config_exits_2(capsys):
+def test_cli_invalid_config_exits_2(capsys, monkeypatch):
+    _no_enumeration(monkeypatch)
     assert run_cli("enumerate", "--size", "1") == 2
     assert run_cli("enumerate", "--size", "4", "--diagonal", "(1 9)") == 2
+    for diagonal in ("all", "(1 2)"):
+        capsys.readouterr()
+        assert run_cli("enumerate", "--size", "17", "--diagonal", diagonal) == 2
+        assert "invalid configuration: size must be between 2 and 16" in capsys.readouterr().err
 
 
 def test_cli_stats_malformed_exits_2(tmp_path, capsys):

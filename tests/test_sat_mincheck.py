@@ -110,8 +110,10 @@ def test_recent_witness_answers_without_solving():
     second = next(c for c in mats if c != first and apply_permutation(pi, c).entries < c.entries)
     p = complete_partial(second)
     before = inst.solver.stats()
+    assert inst.recent_hits == 0
     again = check(p, inst)
     assert inst.solver.stats() == before
+    assert inst.recent_hits == 1
     assert isinstance(again, Witness)
     assert again.perm == pi
     assert again.cell == strictly_below(apply_permutation(pi, p), p)

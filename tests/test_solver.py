@@ -318,19 +318,19 @@ PINNED_N5_SEARCH = {
         "(1 2 3 4 5)": (30, 25, 3229, 0, 18),
         "(1 2 3 4)": (65, 52, 6940, 0, 45),
         "(1 2 3)(4 5)": (39, 32, 4735, 0, 25),
-        "(1 2 3)": (55, 38, 5766, 0, 29),
+        "(1 2 3)": (35, 26, 4245, 0, 19),
         "(1 2)(3 4)": (111, 75, 10862, 0, 68),
-        "(1 2)": (168, 84, 17905, 0, 78),
-        "id": (370, 222, 33621, 1, 214),
+        "(1 2)": (82, 59, 10947, 0, 55),
+        "id": (115, 99, 13254, 0, 95),
     },
     "incremental": {
         "(1 2 3 4 5)": (30, 25, 3229, 0, 18, (5, 1991)),
         "(1 2 3 4)": (60, 50, 6681, 0, 43, (39, 13526)),
         "(1 2 3)(4 5)": (39, 32, 4735, 0, 25, (35, 9930)),
-        "(1 2 3)": (57, 39, 5908, 0, 29, (45, 13003)),
+        "(1 2 3)": (35, 26, 4245, 0, 19, (44, 12486)),
         "(1 2)(3 4)": (125, 82, 11982, 0, 75, (102, 25238), (1, 802)),
-        "(1 2)": (173, 89, 18790, 0, 80, (116, 26186), (8, 1583)),
-        "id": (455, 292, 43271, 2, 278, (257, 45946), (15, 3086)),
+        "(1 2)": (84, 60, 11390, 0, 56, (109, 24732)),
+        "id": (115, 99, 13255, 0, 95, (225, 34002), (10, 1246)),
     },
 }
 
