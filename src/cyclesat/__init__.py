@@ -5,8 +5,8 @@ set-theoretic solutions of the Yang-Baxter equation.  The enumeration
 fixes one diagonal per conjugacy class, encodes the cycle-set axioms as
 CNF, and has a CDCL engine emit only matrices that are lexicographically
 minimal under the centralizer of their diagonal, pruned during search by
-a minimality check (backtracking or incremental SAT) that learns breaking
-and propagation clauses.
+a minimality check (backtracking, or incremental SAT on full assignments)
+that learns breaking and propagation clauses.
 """
 
 from .cycleset import (

@@ -10,7 +10,7 @@ import tempfile
 
 from .errors import DatabaseParseError, PropagatorContractViolation
 from .oracle import verify_database
-from .run import DEFAULT_FREQ, RunConfig, render_stats_table, run_enumerate, write_solutions, write_stats
+from .run import BACKENDS, RunConfig, render_stats_table, run_enumerate, write_solutions, write_stats
 from .symmetry import Diagonal
 
 
@@ -24,12 +24,11 @@ def _build_parser() -> argparse.ArgumentParser:
     enum = sub.add_parser("enumerate", help="enumerate lexicographically minimal cycle sets")
     enum.add_argument("--size", "-n", type=int, required=True, help="size of the cycle sets")
     enum.add_argument("--diagonal", default="all", help="cycle notation, e.g. '(1 2)(3 4)', or 'all'")
-    enum.add_argument("--backend", choices=sorted(DEFAULT_FREQ), default=RunConfig.backend)
-    enum.add_argument("--freq", type=int, help="run the partial minimality check every FREQ-th decision")
+    enum.add_argument("--backend", choices=BACKENDS, default=RunConfig.backend)
+    enum.add_argument("--freq", type=int, default=RunConfig.freq,
+                      help="run the partial minimality check every FREQ-th decision")
     enum.add_argument("--node-limit", type=int, default=RunConfig.node_limit,
                       help="node budget of a partial backtracking check")
-    enum.add_argument("--conflict-limit", type=int, default=RunConfig.conflict_limit,
-                      help="conflict budget of a partial oracle check")
     enum.add_argument("--eo", choices=["binary", "commander"], default=RunConfig.eo_method, help="ExactlyOne encoding")
     enum.add_argument("--workers", type=int, default=RunConfig.workers,
                       help="processes over diagonals, dispatched largest centralizer first")
@@ -80,7 +79,6 @@ def _cmd_enumerate(args) -> int:
             backend=args.backend,
             freq=args.freq,
             node_limit=args.node_limit,
-            conflict_limit=args.conflict_limit,
             eo_method=args.eo,
             workers=args.workers,
             out_path=args.out,

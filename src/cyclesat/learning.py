@@ -151,8 +151,6 @@ def propagation_clause(
     raises NotPropagating when that refinement is not a witness situation or
     the resulting clause is not unit on the literal.
     """
-    if not literal.positive:
-        raise NotPropagatingError("propagated literals pin a value, so they are positive")
     target_var = varmap.matrix_var(literal.cell[0], literal.cell[1], literal.value)
     if target_var is None:
         raise NotPropagatingError(f"no variable for {literal}")

@@ -27,11 +27,10 @@ from .symmetry import Diagonal
 
 @dataclass(frozen=True)
 class CellLiteral:
-    """A matrix literal at the domain level: cell takes (or avoids) a value."""
+    """A matrix literal at the domain level: cell takes a value."""
 
     cell: Cell
     value: int
-    positive: bool = True
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,7 @@ class _Search:
     def _try_propagate(self, cell, image_cell, image_mask, dmask, dmin) -> Optional[Propagate]:
         """At a non-strict boundary with an undefined cell, pin the boundary value.
 
-        The propagated literal is positive; asserting its negation (dropping
+        The propagated literal pins a value; asserting its negation (dropping
         the value from the cell) is verified to turn the permutation into a
         witness before anything is returned.
         """
@@ -241,13 +240,13 @@ class _Search:
         if dmask & (dmask - 1):
             refined = p.with_domain(cell, dmask & ~(1 << (dmin - 1)))
             if strictly_below(apply_permutation(pi, refined), refined) is not None:
-                return Propagate(pi, cell, CellLiteral(cell, dmin, positive=True))
+                return Propagate(pi, cell, CellLiteral(cell, dmin))
         if image_mask & (image_mask - 1):
             inv = self.inv
             vstar = max(mask_values(image_mask), key=lambda v: inv[v])
             refined = p.with_domain(image_cell, image_mask & ~(1 << (vstar - 1)))
             if strictly_below(apply_permutation(pi, refined), refined) is not None:
-                return Propagate(pi, cell, CellLiteral(image_cell, vstar, positive=True))
+                return Propagate(pi, cell, CellLiteral(image_cell, vstar))
         return None
 
 

@@ -3,11 +3,11 @@
 Each selected diagonal is an independent subproblem: its axioms are
 encoded, static lex-leader clauses for the swaps of the diagonal's fixed
 points are added, and one `solve` call of a fresh solver enumerates it.  The
-propagator hooks run a minimality backend on every full assignment (and,
-at the configured frequency, on partial ones); a minimal model is recorded
-and blocked, a non-minimal one cut off with a breaking clause.  Diagonals
-can run in separate processes; results are merged and sorted afterwards,
-so the worker count never changes the output.
+propagator hooks run a minimality backend on every full assignment and,
+at the configured frequency, the backtracking check on partial ones; a
+minimal model is recorded and blocked, a non-minimal one cut off with a
+breaking clause.  Diagonals can run in separate processes; results are
+merged and sorted afterwards, so the worker count never changes the output.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .sat_mincheck import check as oracle_check
 from .solver import PropagatorHooks, Solver
 from .symmetry import PARTITIONS_MAX_N, Diagonal, representative_diagonals
 
-# partial minimality check every FREQ-th decision, per backend
-DEFAULT_FREQ = {"backtrack": 50, "incremental": 100}
+BACKENDS = ("backtrack", "incremental")
+# partial minimality check every FREQ-th decision
+DEFAULT_FREQ = 50
 
 
 @dataclass
@@ -38,9 +39,8 @@ class RunConfig:
     n: int
     diagonal: Optional[str] = None  # cycle notation, or None/"all" for every class
     backend: str = "incremental"
-    freq: Optional[int] = None
+    freq: int = DEFAULT_FREQ
     node_limit: int = 200
-    conflict_limit: int = 10
     eo_method: str = "binary"
     workers: int = 1
     out_path: Optional[str] = None
@@ -51,7 +51,7 @@ class RunConfig:
     sorted_output: bool = True
 
     def __post_init__(self):
-        if self.backend not in DEFAULT_FREQ:
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.eo_method not in ("binary", "commander"):
             raise ValueError(f"unknown ExactlyOne method {self.eo_method!r}")
@@ -59,9 +59,7 @@ class RunConfig:
             raise ValueError(f"size must be between 2 and {PARTITIONS_MAX_N}")
         if self.diagonal not in (None, "all"):
             Diagonal.parse(self.diagonal, self.n)
-        if self.freq is None:
-            self.freq = DEFAULT_FREQ[self.backend]
-        for name in ("workers", "freq", "node_limit", "conflict_limit"):
+        for name in ("workers", "freq", "node_limit"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
@@ -97,7 +95,8 @@ class DiagStats:
 
 
 class MinimalityHooks:
-    """Propagator callbacks running the configured minimality backend.
+    """Propagator callbacks running the configured minimality backend on
+    complete assignments and the backtracking check on partial ones.
 
     `solutions` collects the minimal models in the order the solver finds them.
     """
@@ -110,24 +109,12 @@ class MinimalityHooks:
         self.solutions: list[CycleSet] = []
         self._complete_oracle = None
         if config.backend == "incremental":
-            self._complete_oracle = OracleInstance("complete", config.n, diagonal, config.eo_method)
-        # built on the first partial check: a diagonal with fewer than `freq`
-        # decisions never makes one
-        self._partial_oracle = None
+            self._complete_oracle = OracleInstance(config.n, diagonal, config.eo_method)
 
     def _check_complete(self, p: PartialCycleSet):
         if self.config.backend == "backtrack":
             return backtrack_check(p, self.diagonal, complete=True)
         return oracle_check(p, self._complete_oracle)
-
-    def _check_partial(self, p: PartialCycleSet):
-        if self.config.backend == "backtrack":
-            budget = SearchBudget(max_nodes=self.config.node_limit)
-            return backtrack_check(p, self.diagonal, budget, complete=False)
-        config = self.config
-        if self._partial_oracle is None:
-            self._partial_oracle = OracleInstance("partial", config.n, self.diagonal, config.eo_method)
-        return oracle_check(p, self._partial_oracle, budget=config.conflict_limit)
 
     def on_complete(self, model) -> list[int]:
         """Record a minimal model and block it, or break a non-minimal one."""
@@ -151,7 +138,7 @@ class MinimalityHooks:
     def on_partial(self, view) -> Optional[list[int]]:
         t0 = time.perf_counter()
         p = extract_partial(view, self.varmap)
-        out = self._check_partial(p)
+        out = backtrack_check(p, self.diagonal, SearchBudget(self.config.node_limit), complete=False)
         st = self.stats
         st.partial_checks += 1
         clause = None

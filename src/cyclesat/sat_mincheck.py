@@ -1,39 +1,34 @@
-"""Incremental SAT-based minimality check.
+"""Incremental SAT-based minimality check of complete cycle sets.
 
 The witness-existence problem itself is encoded as CNF once per (size,
 diagonal) and solved repeatedly under assumptions that pin the current
-(partial) cycle set, with learned clauses retained between checks.
+cycle set, with learned clauses retained between checks.  Partial states
+go to the backtracking search of `mincheck` on either backend.
 
 Layers: w encodes the checked matrix M, w2 its image M' under the searched
 permutation (p layer, restricted to same-cycle-length pairs and forced to
 commute with the diagonal), and im channels M[pi(i), pi(j)] = k' so the
-image linking stays quadratic instead of degree six.  The complete kind
-adds redundant ExactlyOne constraints (per cell and per row value) on the
-w2 layer, where they prune, and a bit-lexicographic chain (cells
-row-major, values descending, so bit order matches the numeric order)
-forcing M' < M.  It adds none on w: the assumptions pin every w literal in
-both polarities, so they could only cost propagation.  The partial kind
-reads w as set membership, drops the ExactlyOne constraints, and chains
-threshold viability via bound indicators: g(c,k) holds when min M_c > k,
-l(c,k) when max M'_c < k; a satisfying stop certifies a strict separation
-at some cell, with every earlier cell bounded.
+image linking stays quadratic instead of degree six.  Redundant
+ExactlyOne constraints (per cell and per row value) on the w2 layer
+prune, and a bit-lexicographic chain (cells row-major, values
+descending, so bit order matches the numeric order) forces M' < M.
+There are none on w: the assumptions pin every w literal in both
+polarities, so they could only cost propagation.
 
 Each instance also keeps its last RECENT_WITNESSES witnesses, most recent
 first.  A check tries them on the cycle set before it solves: consecutive
 non-minimal models are mostly lowered by a permutation that lowered one of
 the last few, and applying one costs far less than a solve.  A hit moves
-to the front and is returned without the solver; Minimal and Unknown come
-only from the solver.
+to the front and is returned without the solver; Minimal comes only from
+the solver.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .cycleset import PartialCycleSet, Permutation, apply_permutation, strictly_below
 from .encoding import exactly_one, VarAllocator
-from .errors import BudgetOnCompleteCheckError, ShapeMismatchError
-from .mincheck import Minimal, MinCheckOutcome, Unknown, Witness
+from .errors import ShapeMismatchError
+from .mincheck import Minimal, MinCheckOutcome, Witness
 from .solver import Solver
 from .symmetry import Diagonal
 
@@ -43,32 +38,33 @@ RECENT_WITNESSES = 8
 
 
 class OracleInstance:
-    """A persistent witness-search SAT instance for one (kind, n, diagonal)."""
+    """A persistent witness-search SAT instance for one (n, diagonal)."""
 
-    def __init__(self, kind: str, n: int, diagonal: Diagonal, method: str = "binary"):
-        if kind not in ("complete", "partial"):
-            raise ValueError(f"kind must be 'complete' or 'partial', got {kind!r}")
+    # the only kind of check this instance answers; perfbench/spans.py names
+    # its spans after it
+    kind = "complete"
+
+    def __init__(self, n: int, diagonal: Diagonal, method: str = "binary"):
         if n < 2:
             raise ValueError("n must be at least 2")
         if diagonal.n != n:
             raise ShapeMismatchError("diagonal size mismatch")
-        self.kind = kind
         self.n = n
         self.diagonal = diagonal
         self.method = method
-        self._build()
+        clauses = self._build()
         # permutation variables come first and are branched on positively,
         # mirroring the backtracking search's image-assignment order; the
         # learned-clause cap stays small because stale lemmas from earlier
         # checks tax every later assumption propagation
         self.solver = Solver(self.num_vars, num_static=self.num_p_vars, max_learnts=1500.0)
-        self.solver.add_cnf(self.clauses)
+        self.solver.add_cnf(clauses)
         self.recent: list[Permutation] = []  # last witnesses, most recent first
         self.recent_hits = 0  # checks a recent witness answered without solving
 
     # ------------------------------------------------------------------ build
 
-    def _build(self):
+    def _build(self) -> list[list[int]]:
         n = self.n
         diag = self.diagonal.values()
         alloc = VarAllocator()
@@ -129,25 +125,22 @@ class OracleInstance:
                     clauses.append([-p[(k, k2)], -im[((i, j), k2)], w2[((i, j), k)]])
                     clauses.append([-p[(k, k2)], im[((i, j), k2)], -w2[((i, j), k)]])
 
+        # on w2 only: the assumptions pin every w literal in both polarities
+        for c in offdiag:
+            clauses.extend(exactly_one([w2[(c, k)] for k in cell_values[c]], self.method, alloc))
+        for i in range(1, n + 1):
+            for k in range(1, n + 1):
+                if k == diag[i - 1]:
+                    continue
+                group = [w2[((i, j), k)] for j in range(1, n + 1) if j != i]
+                clauses.extend(exactly_one(group, self.method, alloc))
         positions = [(c, k) for c in offdiag for k in sorted(cell_values[c], reverse=True)]
-        if self.kind == "complete":
-            # on w2 only: the assumptions pin every w literal in both polarities
-            for c in offdiag:
-                clauses.extend(exactly_one([w2[(c, k)] for k in cell_values[c]], self.method, alloc))
-            for i in range(1, n + 1):
-                for k in range(1, n + 1):
-                    if k == diag[i - 1]:
-                        continue
-                    group = [w2[((i, j), k)] for j in range(1, n + 1) if j != i]
-                    clauses.extend(exactly_one(group, self.method, alloc))
-            self._build_complete_chain(positions, alloc, clauses)
-        else:
-            self._build_partial_chain(offdiag, cell_values, positions, alloc, clauses)
+        self._build_chain(positions, alloc, clauses)
 
         self.num_vars = alloc.next_var - 1
-        self.clauses = clauses
+        return clauses
 
-    def _build_complete_chain(self, positions, alloc, clauses):
+    def _build_chain(self, positions, alloc, clauses):
         """Bit-lex chain forcing the image strictly below the matrix."""
         w, w2 = self.w, self.w2
         m = len(positions)
@@ -164,54 +157,11 @@ class OracleInstance:
         last = positions[m - 1]
         clauses.append([-chain[m - 2], w[last]])
         clauses.append([-chain[m - 2], -w2[last]])
-        self.chain = chain
-
-    def _build_partial_chain(self, offdiag, cell_values, positions, alloc, clauses):
-        """Threshold chain over bound indicators for the partial order."""
-        n = self.n
-        w, w2 = self.w, self.w2
-        # g(c, k): no value <= k possible in M_c
-        self.g = {}
-        for c in offdiag:
-            for k in range(1, n):
-                below = [w[(c, v)] for v in cell_values[c] if v <= k]
-                var = alloc.fresh()
-                self.g[(c, k)] = var
-                for x in below:
-                    clauses.append([-var, -x])
-                clauses.append([var] + below)
-        # l(c, k): no value >= k possible in M'_c
-        self.l = {}
-        for c in offdiag:
-            for k in range(2, n + 1):
-                above = [w2[(c, v)] for v in cell_values[c] if v >= k]
-                var = alloc.fresh()
-                self.l[(c, k)] = var
-                for x in above:
-                    clauses.append([-var, -x])
-                clauses.append([var] + above)
-        # thresholds k = n..2 per cell; chain may stop only at a certified
-        # separation: min M_c >= k > max M'_c
-        chain_positions = [(c, k) for c in offdiag for k in range(n, 1, -1)]
-        m = len(chain_positions)
-        chain = [alloc.fresh() for _ in range(m)]
-        clauses.append([chain[0]])
-        for t, (c, k) in enumerate(chain_positions):
-            gv = self.g[(c, k - 1)]
-            lv = self.l[(c, k)]
-            if t == m - 1:
-                clauses.append([-chain[t], gv])
-                clauses.append([-chain[t], lv])
-            else:
-                clauses.append([-chain[t], gv, lv])
-                clauses.append([-chain[t], gv, chain[t + 1]])
-                clauses.append([-chain[t], lv, chain[t + 1]])
-        self.chain = chain
 
     # ------------------------------------------------------------------ query
 
     def assumptions_for(self, p: PartialCycleSet) -> list[int]:
-        """Literals pinning the w layer to the given (partial) cycle set."""
+        """Literals pinning the w layer to the given cycle set."""
         if p.n != self.n:
             raise ShapeMismatchError(f"cycle set of size {p.n}, instance of size {self.n}")
         diag = self.diagonal.values()
@@ -234,20 +184,17 @@ class OracleInstance:
         return Permutation(images)
 
 
-def check(p: PartialCycleSet, inst: OracleInstance, budget: Optional[int] = None) -> MinCheckOutcome:
-    """Run one minimality query against a persistent oracle instance.
+def check(p: PartialCycleSet, inst: OracleInstance) -> MinCheckOutcome:
+    """Run one minimality query on a complete cycle set against a persistent
+    oracle instance.
 
     A recent witness of the instance that lowers `p` is returned first,
     without solving.  Otherwise SAT decodes the permutation layer, locates
     the strict cell on the caller's side and keeps the permutation as a
-    recent witness; UNSAT means lexicographically minimal; UNKNOWN is
-    possible only for the partial kind under a conflict budget.
+    recent witness; UNSAT means lexicographically minimal.
     """
-    if inst.kind == "complete":
-        if budget is not None:
-            raise BudgetOnCompleteCheckError("complete checks must run to completion")
-        if not p.is_complete():
-            raise ValueError("complete-kind oracle needs a fully defined cycle set")
+    if not p.is_complete():
+        raise ValueError("the oracle needs a fully defined cycle set")
     assumptions = inst.assumptions_for(p)
     recent = inst.recent
     for idx, pi in enumerate(recent):
@@ -256,9 +203,7 @@ def check(p: PartialCycleSet, inst: OracleInstance, budget: Optional[int] = None
             recent.insert(0, recent.pop(idx))
             inst.recent_hits += 1
             return Witness(pi, cell)
-    res = inst.solver.solve(assumptions, conflict_budget=budget)
-    if res.status == "unknown":
-        return Unknown()
+    res = inst.solver.solve(assumptions)
     if res.status == "unsat":
         return Minimal()
     pi = inst.decode_permutation(res.model)

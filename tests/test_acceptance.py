@@ -148,7 +148,7 @@ def test_criterion_5_minimality_vs_exhaustive_centralizer():
                     if n == 5
                     else {c for c in brute_force_all(n) if c.diagonal_values() == d.values()}
                 )
-                inst = OracleInstance("complete", n, d)
+                inst = OracleInstance(n, d)
                 for c in sorted(mats):
                     p = PartialCycleSet.from_cycle_set(c)
                     truth = is_lex_min(c, d)

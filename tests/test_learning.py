@@ -165,7 +165,7 @@ def test_propagation_clause_guards():
     from cyclesat.cycleset import Permutation
 
     with pytest.raises(NotPropagatingError):
-        propagation_clause(p, Permutation.identity(3), (1, 2), CellLiteral((1, 2), 3, positive=True), vm)
+        propagation_clause(p, Permutation.identity(3), (1, 2), CellLiteral((1, 2), 3), vm)
 
 
 def test_blocking_clause_excludes_exactly_one_solution():

@@ -51,6 +51,22 @@ def test_stats_show_the_incremental_check_solves(monkeypatch):
     assert all(st["recent_hits"] == 0 and st["complete_oracle"] == {} for st in stats.values())
 
 
+def test_one_oracle_instance_per_incremental_diagonal(monkeypatch):
+    # partial states go to the backtracking search: the only SAT instance a
+    # diagonal builds is the one answering its complete checks
+    built = []
+
+    class CountingOracle(run.OracleInstance):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.diagonal.label())
+
+    monkeypatch.setattr(run, "OracleInstance", CountingOracle)
+    _, stats = run_enumerate(RunConfig(n=4, backend="incremental", freq=1))
+    assert sum(st["partial_checks"] for st in stats.values()) > 0
+    assert sorted(built) == sorted(stats)
+
+
 def test_outcome_counts_sum_to_check_counts():
     _, stats = run_enumerate(RunConfig(n=4, backend="backtrack"))
     for st in stats.values():
@@ -158,7 +174,7 @@ def test_invalid_config_rejected():
         with pytest.raises(ValueError, match="size must be between 2 and"):
             RunConfig(n=n, diagonal="(1 2)")
     RunConfig(n=PARTITIONS_MAX_N)
-    for field in ("workers", "freq", "node_limit", "conflict_limit"):
+    for field in ("workers", "freq", "node_limit"):
         for bad in (0, -3):
             with pytest.raises(ValueError, match=field):
                 RunConfig(n=4, **{field: bad})
@@ -240,7 +256,7 @@ def _no_enumeration(monkeypatch):
 
 def test_cli_limit_below_one_exits_2_before_enumerating(capsys, monkeypatch):
     _no_enumeration(monkeypatch)
-    for flag in ("--freq", "--node-limit", "--conflict-limit", "--workers"):
+    for flag in ("--freq", "--node-limit", "--workers"):
         assert run_cli("enumerate", "--size", "5", flag, "0") == 2
         assert "invalid configuration: " in capsys.readouterr().err
 

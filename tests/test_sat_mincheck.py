@@ -4,18 +4,17 @@ import random
 import pytest
 
 from cyclesat.cycleset import CycleSet, Permutation, apply_permutation, strictly_below
-from cyclesat.errors import BudgetOnCompleteCheckError, ShapeMismatchError
-from cyclesat.mincheck import Minimal, Propagate, Unknown, Witness
-from cyclesat.mincheck import check as backtrack_check
+from cyclesat.errors import ShapeMismatchError
+from cyclesat.mincheck import Minimal, Witness
 from cyclesat.oracle import brute_force_all, is_lex_min
 from cyclesat.run import RunConfig, enumerate_diagonal
 from cyclesat.sat_mincheck import RECENT_WITNESSES, OracleInstance, check
 from cyclesat.symmetry import Diagonal, fixes_diagonal, representative_diagonals
-from test_mincheck import complete_partial, random_partial
+from test_mincheck import complete_partial
 
 
 def test_n2_identity_lexmin_is_unsat():
-    inst = OracleInstance("complete", 2, Diagonal.identity(2))
+    inst = OracleInstance(2, Diagonal.identity(2))
     out = check(complete_partial(CycleSet.from_rows([[1, 2], [1, 2]])), inst)
     assert isinstance(out, Minimal)
 
@@ -23,7 +22,7 @@ def test_n2_identity_lexmin_is_unsat():
 def test_complete_kind_matches_ground_truth_small():
     for n in (2, 3, 4):
         for diag in representative_diagonals(n):
-            inst = OracleInstance("complete", n, diag)
+            inst = OracleInstance(n, diag)
             for c in brute_force_all(n):
                 if c.diagonal_values() != diag.values():
                     continue
@@ -34,60 +33,12 @@ def test_complete_kind_matches_ground_truth_small():
                     assert apply_permutation(out.perm, c).entries < c.entries
 
 
-def test_partial_kind_on_complete_inputs_agrees():
-    for n in (2, 3):
-        for diag in representative_diagonals(n):
-            inst = OracleInstance("partial", n, diag)
-            for c in brute_force_all(n):
-                if c.diagonal_values() != diag.values():
-                    continue
-                out = check(complete_partial(c), inst)
-                assert isinstance(out, Minimal) == is_lex_min(c, diag)
-
-
-def test_partial_kind_witnesses_are_strict():
-    rnd = random.Random(3)
-    hits = 0
-    for n in (3, 4):
-        for diag in representative_diagonals(n):
-            inst = OracleInstance("partial", n, diag)
-            mats = [c for c in brute_force_all(n) if c.diagonal_values() == diag.values()]
-            for c in mats:
-                for _ in range(2):
-                    p = random_partial(c, rnd)
-                    out = check(p, inst)
-                    if isinstance(out, Witness):
-                        hits += 1
-                        assert strictly_below(apply_permutation(out.perm, p), p) is not None
-    assert hits > 10
-
-
-def test_partial_vs_backtrack_verdict_compatibility():
-    # strict-witness existence must agree whenever the backtracking side is
-    # conclusive; a Propagate outcome leaves the incremental side free
-    rnd = random.Random(17)
-    for n in (3, 4):
-        for diag in representative_diagonals(n):
-            inst = OracleInstance("partial", n, diag)
-            mats = [c for c in brute_force_all(n) if c.diagonal_values() == diag.values()]
-            for c in mats[:6]:
-                p = random_partial(c, rnd)
-                inc = check(p, inst)
-                bt = backtrack_check(p, diag, complete=False)
-                if isinstance(bt, Witness):
-                    assert isinstance(inc, Witness)
-                if isinstance(bt, Minimal):
-                    assert isinstance(inc, Minimal)
-                if isinstance(inc, Minimal):
-                    assert isinstance(bt, (Minimal, Propagate))
-
-
 def test_instance_reuse_is_sound():
     rnd = random.Random(29)
     n = 4
     all_mats = brute_force_all(n)
     for diag in representative_diagonals(n):
-        inst = OracleInstance("complete", n, diag)
+        inst = OracleInstance(n, diag)
         mats = [c for c in all_mats if c.diagonal_values() == diag.values()]
         seq = mats * 2
         rnd.shuffle(seq)
@@ -102,7 +53,7 @@ def test_instance_reuse_is_sound():
 def test_recent_witness_answers_without_solving():
     diag = Diagonal.identity(4)
     mats = [c for c in brute_force_all(4) if c.diagonal_values() == diag.values()]
-    inst = OracleInstance("complete", 4, diag)
+    inst = OracleInstance(4, diag)
     first = next(c for c in mats if not is_lex_min(c, diag))
     out = check(complete_partial(first), inst)
     assert isinstance(out, Witness)
@@ -124,7 +75,7 @@ def test_minimal_after_recent_witnesses_fill():
     # list; the representatives themselves must still be proven minimal
     diag = Diagonal.identity(5)
     reps, _ = enumerate_diagonal(RunConfig(n=5, backend="backtrack"), diag)
-    inst = OracleInstance("complete", 5, diag)
+    inst = OracleInstance(5, diag)
     perms = [Permutation(list(t)) for t in itertools.permutations(range(1, 6))]
     rnd = random.Random(1)
     for c in reps:
@@ -139,37 +90,28 @@ def test_minimal_after_recent_witnesses_fill():
         assert isinstance(check(complete_partial(c), inst), Minimal), c.to_line()
 
 
-def test_budget_unknown_and_complete_guard():
-    diag = Diagonal.identity(3)
-    partial_inst = OracleInstance("partial", 3, diag)
-    complete_inst = OracleInstance("complete", 3, diag)
-    c = CycleSet.from_rows([[1, 3, 2], [3, 2, 1], [2, 1, 3]])
-    with pytest.raises(BudgetOnCompleteCheckError):
-        check(complete_partial(c), complete_inst, budget=5)
-    out = check(complete_partial(c), partial_inst, budget=1)
-    assert isinstance(out, (Minimal, Witness, Unknown))
+def test_complete_check_rejects_partial_input():
+    # partial states go to the backtracking search; the oracle refuses them
+    from test_cycleset import paper_partial
+
+    inst = OracleInstance(3, Diagonal.parse("(1 2)", 3))
+    with pytest.raises(ValueError, match="fully defined"):
+        check(paper_partial(), inst)
 
 
 def test_assumption_layout():
     n = 3
     diag = Diagonal.parse("(1 2)", n)
-    inst = OracleInstance("complete", n, diag)
+    inst = OracleInstance(n, diag)
     c = CycleSet.from_rows([[2, 1, 3], [2, 1, 3], [1, 2, 3]])
     asm = inst.assumptions_for(complete_partial(c))
     positives = [l for l in asm if l > 0]
     assert len(positives) == n * (n - 1)
     assert len(asm) == n * (n - 1) * (n - 1)
-    # the worked partial example: cell (3,1) contributes w for values 1 and 2
-    from test_cycleset import paper_partial
-
-    inst_p = OracleInstance("partial", n, diag)
-    asm_partial = inst_p.assumptions_for(paper_partial())
-    assert inst_p.w[((3, 1), 1)] in asm_partial
-    assert inst_p.w[((3, 1), 2)] in asm_partial
 
 
 def test_shape_mismatch():
-    inst = OracleInstance("complete", 3, Diagonal.identity(3))
+    inst = OracleInstance(3, Diagonal.identity(3))
     with pytest.raises(ShapeMismatchError):
         inst.assumptions_for(complete_partial(CycleSet.from_rows([[1, 2], [1, 2]])))
     wrong_diag = complete_partial(CycleSet.from_rows([[2, 1, 3], [2, 1, 3], [1, 2, 3]]))

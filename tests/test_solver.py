@@ -308,8 +308,7 @@ def test_watch_lists_stay_consistent_through_search(data):
 
 
 # Solver.stats() per n=5 diagonal, then, for the incremental backend, the
-# (conflicts, propagations) of the complete and, where a partial check ran
-# and so built it, the partial oracle solver.
+# (conflicts, propagations) of the complete oracle solver.
 # These pin the search itself: an engine change that is meant to leave the
 # search alone must reproduce them exactly.  A change that alters the search
 # on purpose re-records them and says so in CHANGES.md.
@@ -328,9 +327,9 @@ PINNED_N5_SEARCH = {
         "(1 2 3 4)": (60, 50, 6681, 0, 43, (39, 13526)),
         "(1 2 3)(4 5)": (39, 32, 4735, 0, 25, (35, 9930)),
         "(1 2 3)": (35, 26, 4245, 0, 19, (44, 12486)),
-        "(1 2)(3 4)": (125, 82, 11982, 0, 75, (102, 25238), (1, 802)),
-        "(1 2)": (84, 60, 11390, 0, 56, (109, 24732)),
-        "id": (115, 99, 13255, 0, 95, (225, 34002), (10, 1246)),
+        "(1 2)(3 4)": (112, 76, 10914, 0, 69, (102, 25238)),
+        "(1 2)": (82, 59, 10947, 0, 55, (106, 23772)),
+        "id": (115, 99, 13255, 0, 95, (225, 34002)),
     },
 }
 
@@ -353,9 +352,9 @@ def test_search_pinned_on_every_n5_diagonal(monkeypatch):
             _, stats = enumerate_diagonal(config, d)
             e = stats.engine
             row = (e["decisions"], e["conflicts"], e["propagations"], e["restarts"], e["learned"])
-            for oracle in (hooks_made[0]._complete_oracle, hooks_made[0]._partial_oracle):
-                if oracle is not None:
-                    o = oracle.solver.stats()
-                    row += ((o["conflicts"], o["propagations"]),)
+            oracle = hooks_made[0]._complete_oracle
+            if oracle is not None:
+                o = oracle.solver.stats()
+                row += ((o["conflicts"], o["propagations"]),)
             got[backend][d.label()] = row
     assert got == PINNED_N5_SEARCH
