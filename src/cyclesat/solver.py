@@ -43,7 +43,7 @@ def _luby(x: int) -> int:
 
 @dataclass
 class SolveResult:
-    status: str  # "sat" | "unsat" | "unknown"
+    status: str  # "sat" | "unsat"
     model: Optional[list[bool]] = None  # indexed by variable, model[0] unused
 
 
@@ -394,16 +394,14 @@ class Solver:
     def solve(
         self,
         assumptions: Sequence[int] = (),
-        conflict_budget: Optional[int] = None,
         hooks: Optional[PropagatorHooks] = None,
     ) -> SolveResult:
         """Search under assumptions; learned clauses persist across calls.
 
         Returns SAT with a complete model that hooks.on_complete (if given)
-        accepted, UNSAT when no such model satisfies the assumptions, or
-        UNKNOWN when the conflict budget runs out.  Assumption levels shared
-        with the previous call are kept in place, so runs over similar
-        assumption sets skip most re-propagation.
+        accepted, or UNSAT when no such model satisfies the assumptions.
+        Assumption levels shared with the previous call are kept in place,
+        so runs over similar assumption sets skip most re-propagation.
         """
         if not self.ok:
             return SolveResult("unsat")
@@ -414,13 +412,13 @@ class Solver:
         while keep < limit_keep and held[keep] == asm[keep]:
             keep += 1
         self._cancel_until(keep)
-        return self._search(asm, conflict_budget, hooks)
+        return self._search(asm, hooks)
 
-    def _search(self, asm: list[int], budget: Optional[int], hooks: Optional[PropagatorHooks]) -> SolveResult:
+    def _search(self, asm: list[int], hooks: Optional[PropagatorHooks]) -> SolveResult:
         """The CDCL main loop.
 
         The encoded assumptions `asm` take levels 1..len(asm), and restarts
-        and a spent conflict budget cancel back to them.  A full assignment
+        cancel back to them.  A full assignment
         goes to hooks.on_complete: None accepts it, and any other answer is
         a clause to install before the search goes on, as is a clause from
         hooks.on_partial.
@@ -437,11 +435,6 @@ class Solver:
                 if not self._on_conflict(confl):
                     break
                 since_restart += 1
-                if budget is not None:
-                    budget -= 1
-                    if budget <= 0:
-                        self._cancel_until(nasm)
-                        return SolveResult("unknown")
                 continue
             lvl = len(self._trail_lim)
             if lvl < nasm:

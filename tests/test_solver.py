@@ -45,21 +45,6 @@ def test_learned_clauses_persist_and_later_sat():
     assert res.model[3]
 
 
-def test_conflict_budget_unknown():
-    # pigeonhole 4 into 3: hard enough to exceed a one-conflict budget
-    holes, pigeons = 3, 4
-    var = lambda p, h: p * holes + h + 1
-    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
-    for h in range(holes):
-        for p1 in range(pigeons):
-            for p2 in range(p1 + 1, pigeons):
-                clauses.append([-var(p1, h), -var(p2, h)])
-    s = Solver(pigeons * holes)
-    s.add_cnf(clauses)
-    assert s.solve(conflict_budget=1).status == "unknown"
-    assert s.solve().status == "unsat"
-
-
 def brute_force_status(clauses, num_vars):
     for bits in itertools.product([False, True], repeat=num_vars):
         assign = (None,) + bits
@@ -295,7 +280,7 @@ def test_watch_lists_stay_consistent_through_search(data):
                max_learnts=data.draw(st.sampled_from([2.0, 6.0, 4000.0])))
     s.add_cnf(clauses)
     for assumptions in data.draw(st.lists(st.lists(lit, max_size=4), max_size=5)):
-        s.solve(assumptions, conflict_budget=data.draw(st.integers(1, 4)))
+        s.solve(assumptions)
         assert_each_clause_watched_twice(s)
 
     def negation(model):
