@@ -237,54 +237,91 @@ def encode_axioms(n: int, diagonal: Diagonal, method: str = "binary") -> Cnf:
     return Cnf(clauses, vm.num_vars, vm)
 
 
+def lex_leader_family(diagonal: Diagonal) -> list[list[int]]:
+    """The centralizer elements the static clauses break, as image lists
+    (tau[x] is the image of x, tau[0] unused).
+
+    Each cycle is written from its least element, cycles ordered by it.
+    First the aligned swaps a_t <-> b_t of every two cycles of equal
+    length, which on two fixed points are their transposition; then, for
+    every cycle of length >= 2, its rotation by one step (x -> diag(x) on
+    that cycle, identity elsewhere), the half-turn on a 2-cycle.
+    """
+    n = diagonal.n
+    cycles = []
+    for cyc in diagonal.cycles:
+        start = cyc.index(min(cyc))
+        cycles.append(cyc[start:] + cyc[:start])
+    cycles.sort()
+    family = []
+    for ca, cb in itertools.combinations(cycles, 2):
+        if len(ca) == len(cb):
+            tau = list(range(n + 1))
+            for a, b in zip(ca, cb):
+                tau[a], tau[b] = b, a
+            family.append(tau)
+    for cyc in cycles:
+        if len(cyc) >= 2:
+            tau = list(range(n + 1))
+            for x in cyc:
+                tau[x] = diagonal.successor(x)
+            family.append(tau)
+    return family
+
+
 def lex_leader_clauses(vm: VarMap, first_var: int) -> tuple[list[Clause], int]:
-    """Static symmetry breaking: M <= tau(M) for every transposition tau = (a b)
-    of two fixed points of the diagonal.
+    """Static symmetry breaking: M <= tau(M) for every tau of
+    `lex_leader_family(diagonal)`.
 
     These are the lex-leader predicates of Crawford, Ginsberg, Luks and Roy
     (KR 1996), in the linear chain form.  Each tau commutes with the
     diagonal, so a lexicographically minimal cycle set satisfies all of
     them: they remove no representative, only assignments the minimality
     check would reject.  The comparison walks the off-diagonal cells in the
-    row-major order of the check (diagonal cells are equal under tau), using
-    tau(M)[c] = k' exactly when M[tau c] = tau(k').  It skips a cell whose
-    image tau(c) comes earlier: equality at tau(c) already gives equality
-    at c.  A chain variable e_t per compared cell means "all earlier cells
-    are equal"; it is defined in both directions, so a full matrix
-    assignment fixes every chain variable and the solver never branches on
-    one.
+    row-major order of the check (diagonal cells are equal under tau),
+    following tau(M)[c] = tau^-1(M[tau c]):
+    - on a cell tau fixes, tau(M) is below M where tau^-1(M[c]) < M[c],
+      and equal where tau^-1 fixes M[c];
+    - on any other cell, tau(M)[c] = k' exactly when M[tau c] = tau(k').
+    When tau is an involution, a cell whose image tau(c) comes earlier is
+    skipped: equality at tau(c) gives M[c] = tau(M[tau c]), which is
+    tau(M)[c] when tau = tau^-1.  For a rotation of length >= 3 that
+    fails, and its chain compares every off-diagonal cell.  A chain
+    variable e_t per compared cell means "all earlier cells are equal"; it
+    is defined in both directions, so a full matrix assignment fixes every
+    chain variable and the solver never branches on one.
 
     Chain variables are numbered from `first_var`.  Returns the clauses and
     the variable count including the chain variables.
     """
     n = vm.n
-    diag = vm.diagonal_values
     alloc = VarAllocator(first_var)
     clauses: list[Clause] = []
-    fixed = [x for x in range(1, n + 1) if diag[x - 1] == x]
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    for a, b in itertools.combinations(fixed, 2):
-        tau = list(range(n + 1))
-        tau[a], tau[b] = b, a
-        compared = [(i, j) for i, j in cells if (tau[i], tau[j]) >= (i, j)]
+    for tau in lex_leader_family(vm.diagonal):
+        inv = [0] * (n + 1)
+        for x in range(1, n + 1):
+            inv[tau[x]] = x
+        if inv == tau:
+            compared = [(i, j) for i, j in cells if (tau[i], tau[j]) >= (i, j)]
+        else:
+            compared = cells
         prefix: list[int] = []  # [-e_t], or nothing before the first cell
         for i, j in compared:
             pairs = vm.cell_vars(i, j)
             if (tau[i], tau[j]) == (i, j):
-                # tau(M)[c] = tau(M[c]): equal unless M[c] is a or b, and
-                # M[c] = b puts tau(M) below M here
-                clauses.append(prefix + [-vm.matrix_var(i, j, b)])
+                clauses.extend(prefix + [-var] for k, var in pairs if inv[k] < k)
                 if (i, j) == compared[-1]:
                     break
                 nxt = alloc.fresh()
                 for k, var in pairs:
-                    if k in (a, b):
-                        clauses.append([-nxt, -var])
-                    else:
+                    if inv[k] == k:
                         clauses.append(prefix + [-var, nxt])
+                    else:
+                        clauses.append([-nxt, -var])
             else:
-                # tau(M)[c] = k' <-> v(tau c, tau k'); tau maps the row's
-                # missing value diag(i) to diag(tau i), so these exist
+                # tau maps the row's missing value diag(i) to diag(tau i),
+                # so every image variable exists
                 image = {k: vm.matrix_var(tau[i], tau[j], tau[k]) for k, _ in pairs}
                 for k, var in pairs:
                     for k2, _ in pairs:

@@ -1,18 +1,21 @@
 """Per-diagonal enumeration: wiring the engine, minimality hooks, and stats.
 
 Each selected diagonal is an independent subproblem: its axioms are
-encoded, static lex-leader clauses for the swaps of the diagonal's fixed
-points are added, and one `solve` call of a fresh solver enumerates it.  The
-propagator hooks run a minimality backend on every full assignment and,
-at the configured frequency, the backtracking check on partial ones; a
-minimal model is recorded and blocked, a non-minimal one cut off with a
-breaking clause.  Diagonals can run in separate processes; results are
-merged and sorted afterwards, so the worker count never changes the output.
+encoded, static lex-leader clauses are added for aligned swaps of its
+equal-length cycles and a one-step rotation of each cycle, and one `solve`
+call of a fresh solver enumerates it.  The propagator hooks run a
+minimality backend on every full assignment and, at the configured
+frequency, the backtracking check on partial ones; a minimal model is
+recorded and blocked, a non-minimal one cut off with a breaking clause.
+Diagonals can run in separate processes; results are merged and sorted
+afterwards, so the worker count never changes the output.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -88,6 +91,8 @@ class DiagStats:
     })
     total_time: float = 0.0
     engine: dict = field(default_factory=dict)
+    # lex-leader clauses loaded for the diagonal beside its axioms
+    static_clauses: int = 0
     # incremental backend: complete checks a recent witness answered, and
     # the complete oracle's solver counters over the remaining solves
     recent_hits: int = 0
@@ -190,6 +195,7 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
     st.solutions = len(hooks_impl.solutions)
     st.total_time = time.perf_counter() - t0
     st.engine = solver.stats()
+    st.static_clauses = len(symmetry_clauses)
     oracle = hooks_impl._complete_oracle
     if oracle is not None:
         st.recent_hits = oracle.recent_hits
@@ -198,8 +204,6 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
 
 
 def _dump_dimacs(cnf: Cnf, config: RunConfig, diagonal: Diagonal):
-    import os
-
     os.makedirs(config.dimacs_dir, exist_ok=True)
     # "id" -> "_id", "(1 2)(3 4)" -> "_12_34"
     tag = diagonal.label().replace(" ", "").replace(")(", "_").strip("()")
@@ -253,14 +257,25 @@ def run_enumerate(config: RunConfig) -> tuple[list[CycleSet], dict]:
 
 
 def write_solutions(solutions: list[CycleSet], path: Optional[str]):
-    text = "".join(c.to_line() + "\n" for c in solutions)
-    if path is None or path == "-":
-        import sys
+    """One line per cycle set, to `path` or, for None or "-", to stdout.
 
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    A file is written under a temporary name in the same directory and
+    renamed onto `path`, so an interrupted write leaves no partial file and
+    whatever was at `path` before stays as it was.
+    """
+    lines = (c.to_line() + "\n" for c in solutions)
+    if path is None or path == "-":
+        sys.stdout.writelines(lines)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def write_stats(stats: dict, path: str):

@@ -1,13 +1,16 @@
+import functools
 import itertools
+import random
 
 import pytest
 
 from cyclesat.cycleset import CycleSet, Permutation, apply_permutation, satisfies_axioms
-from cyclesat.encoding import VarAllocator, decode_model, encode_axioms, exactly_one, lex_leader_clauses
+from cyclesat.encoding import (VarAllocator, decode_model, encode_axioms, exactly_one, lex_leader_clauses,
+                               lex_leader_family)
 from cyclesat.errors import MalformedModelError
 from cyclesat.oracle import brute_force_all, brute_force_diagonal, is_lex_min
 from cyclesat.solver import PropagatorHooks, Solver
-from cyclesat.symmetry import Diagonal, representative_diagonals
+from cyclesat.symmetry import Diagonal, fixes_diagonal, representative_diagonals
 
 
 def models_of(clauses, num_vars):
@@ -105,12 +108,26 @@ def test_no_clause_repeats_a_literal(method):
                 assert len(set(cl)) == len(cl), (n, diag.label(), cl)
 
 
-def fixed_point_swaps(diag):
-    fixed = [x for x in range(1, diag.n + 1) if diag.value(x) == x]
-    for a, b in itertools.combinations(fixed, 2):
-        images = list(range(1, diag.n + 1))
-        images[a - 1], images[b - 1] = b, a
-        yield Permutation(images)
+def breaking_family(diag):
+    """Aligned swaps of equal-length cycles and one-step cycle rotations,
+    each cycle written from its least element."""
+    n = diag.n
+    cycles = []
+    for x in range(1, n + 1):
+        if all(x not in c for c in cycles):  # the least element of its cycle
+            cycle = [x]
+            while diag.successor(cycle[-1]) != x:
+                cycle.append(diag.successor(cycle[-1]))
+            cycles.append(cycle)
+    family = []
+    for ca, cb in itertools.combinations(cycles, 2):
+        if len(ca) == len(cb):
+            swap = dict(zip(ca, cb)) | dict(zip(cb, ca))
+            family.append(Permutation(swap.get(x, x) for x in range(1, n + 1)))
+    for cyc in cycles:
+        if len(cyc) > 1:
+            family.append(Permutation(diag.successor(x) if x in cyc else x for x in range(1, n + 1)))
+    return family
 
 
 def matrix_literals(c, varmap):
@@ -131,7 +148,7 @@ def symmetry_broken_solver(n, diag):
     return solver, cnf.varmap
 
 
-def test_lex_leader_clauses_keep_exactly_the_swap_leaders():
+def test_lex_leader_clauses_keep_exactly_the_family_leaders():
     # every diagonal of every size <= 4, not only the representatives, so
     # fixed points also sit between moved points
     by_diag = {}
@@ -141,14 +158,68 @@ def test_lex_leader_clauses_keep_exactly_the_swap_leaders():
     for values, mats in by_diag.items():
         diag = Diagonal.from_values(values)
         solver, varmap = symmetry_broken_solver(diag.n, diag)
-        swaps = list(fixed_point_swaps(diag))
+        family = breaking_family(diag)
+        assert all(fixes_diagonal(tau, diag) for tau in family)
         for c in mats:
-            leader = all(apply_permutation(tau, c).entries >= c.entries for tau in swaps)
+            leader = all(apply_permutation(tau, c).entries >= c.entries for tau in family)
             decisions = solver.decisions
             status = solver.solve(matrix_literals(c, varmap)).status
             assert status == ("sat" if leader else "unsat"), (diag.label(), c.to_line())
             # the matrix fixes every chain variable: nothing is left to branch on
             assert solver.decisions == decisions
+
+
+def perturbed_fixed_matrix(diag, tau, rng):
+    """A matrix with the diagonal's values that tau maps to itself, then one
+    cell redrawn at random; None if some cell has no value tau allows.
+
+    tau(M) = M means M[tau c] = tau(M[c]) on every cell, so the comparison
+    of M with tau(M) runs equal up to the redrawn cell.  These are not
+    cycle sets: the chains compare any matrix, and on cycle sets of small
+    size they rarely get that far."""
+    n = diag.n
+    entries = {(i, i): diag.value(i) for i in range(1, n + 1)}
+    for c in itertools.product(range(1, n + 1), repeat=2):
+        if c in entries:
+            continue
+        orbit = [c]
+        while (nxt := (tau(orbit[-1][0]), tau(orbit[-1][1]))) != c:
+            orbit.append(nxt)
+        # going round the orbit applies tau once per cell to the value
+        allowed = [k for k in range(1, n + 1)
+                   if k != diag.value(c[0]) and functools.reduce(lambda x, _: tau(x), orbit, k) == k]
+        if not allowed:
+            return None
+        k = rng.choice(allowed)
+        for cell in orbit:
+            entries[cell] = k
+            k = tau(k)
+    i, j = rng.choice([c for c in entries if c[0] != c[1]])
+    entries[(i, j)] = rng.choice([k for k in range(1, n + 1) if k != diag.value(i)])
+    return CycleSet(n, [entries[(i, j)] for i in range(1, n + 1) for j in range(1, n + 1)])
+
+
+def test_lex_leader_clauses_compare_any_matrix_exactly():
+    # the clauses alone, with the chain variables right after the matrix
+    # variables, on matrices a family member maps almost to themselves
+    rng = random.Random(0)
+    diagonals = [d for n in (3, 4, 5, 6) for d in representative_diagonals(n)]
+    diagonals += [Diagonal.parse(text, 6) for text in ("(2 5 4)(3 6)", "(1 4)(2 6)", "(3 6 5 4)")]
+    for diag in diagonals:
+        vm = encode_axioms(diag.n, diag).varmap
+        clauses, num_vars = lex_leader_clauses(vm, vm.num_matrix_vars + 1)
+        solver = Solver(num_vars, num_static=vm.num_matrix_vars)
+        solver.add_cnf(clauses)
+        family = breaking_family(diag)
+        for tau in family:
+            for _ in range(15):
+                m = perturbed_fixed_matrix(diag, tau, rng)
+                if m is None:
+                    break
+                leader = all(apply_permutation(t, m).entries >= m.entries for t in family)
+                status = solver.solve(matrix_literals(m, vm)).status
+                assert status == ("sat" if leader else "unsat"), (diag.label(), m.to_line())
+        assert solver.decisions == 0
 
 
 def test_lex_leader_clauses_keep_every_n5_representative():
@@ -166,9 +237,13 @@ def test_lex_leader_clauses_number_chain_variables_from_first_var():
     clauses, num_vars = lex_leader_clauses(cnf.varmap, first)
     new = {abs(l) for cl in clauses for l in cl if abs(l) > cnf.varmap.num_matrix_vars}
     assert new == set(range(first, num_vars + 1))
-    # a diagonal without two fixed points has no swap to break
-    none = encode_axioms(4, Diagonal.parse("(1 2 3)", 4))
-    assert lex_leader_clauses(none.varmap, none.num_vars + 1) == ([], none.num_vars)
+    # (1 2 3)(4) has no two cycles of equal length: its only chain is the
+    # rotation's, which is no involution and so compares all 12 off-diagonal
+    # cells, with a chain variable after each but the last
+    rotated = encode_axioms(4, Diagonal.parse("(1 2 3)", 4))
+    assert lex_leader_family(rotated.varmap.diagonal) == [[0, 2, 3, 1, 4]]
+    clauses, num_vars = lex_leader_clauses(rotated.varmap, rotated.num_vars + 1)
+    assert clauses and num_vars == rotated.num_vars + 11
 
 
 def test_n2_unique_models():

@@ -6,6 +6,7 @@ import pytest
 
 from cyclesat import cli, run
 from cyclesat.cli import main
+from cyclesat.encoding import encode_axioms, lex_leader_clauses
 from cyclesat.oracle import brute_force_all, is_lex_min, lex_min_reps
 from cyclesat.run import RunConfig, render_stats_table, run_enumerate
 from cyclesat.solver import Solver
@@ -206,6 +207,61 @@ def test_cli_enumerate_verify_roundtrip(tmp_path, capsys):
     assert rc == 0
     table = capsys.readouterr().out
     assert "id" in table and "#sols" in table
+
+
+def test_stats_out_counts_the_static_clauses(tmp_path):
+    stats = tmp_path / "n4.json"
+    assert run_cli("enumerate", "--size", "4", "--backend", "backtrack", "--out", "-",
+                   "--stats-out", str(stats)) == 0
+    data = json.loads(stats.read_text())
+    for d in representative_diagonals(4):
+        cnf = encode_axioms(4, d)
+        clauses, _ = lex_leader_clauses(cnf.varmap, cnf.num_vars + 1)
+        assert data[d.label()]["static_clauses"] == len(clauses) > 0, d.label()
+
+
+class HalfWrittenFile:
+    """A file whose first write stores half its text, then raises as a
+    Ctrl-C would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise KeyboardInterrupt
+
+    def writelines(self, lines):
+        self.write("".join(lines))
+
+
+def test_interrupted_write_keeps_the_previous_output(tmp_path, monkeypatch):
+    out = tmp_path / "out.txt"
+    out.write_text("kept\n")
+    sols, _ = run_enumerate(RunConfig(n=4, backend="backtrack"))
+    opened = []
+
+    def half_written_open(*args, **kwargs):
+        opened.append(args[0])
+        return HalfWrittenFile(open(*args, **kwargs))
+
+    monkeypatch.setattr(run, "open", half_written_open, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        run.write_solutions(sols, str(out))
+    assert len(opened) == 1
+    assert out.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    monkeypatch.undo()
+    run.write_solutions(sols, str(out))
+    assert out.read_text() == "".join(c.to_line() + "\n" for c in sols)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_cli_verify_tampered_exits_1(tmp_path, capsys):

@@ -299,21 +299,21 @@ def test_watch_lists_stay_consistent_through_search(data):
 # on purpose re-records them and says so in CHANGES.md.
 PINNED_N5_SEARCH = {
     "backtrack": {
-        "(1 2 3 4 5)": (30, 25, 3229, 0, 18),
-        "(1 2 3 4)": (65, 52, 6940, 0, 45),
-        "(1 2 3)(4 5)": (39, 32, 4735, 0, 25),
-        "(1 2 3)": (35, 26, 4245, 0, 19),
-        "(1 2)(3 4)": (111, 75, 10862, 0, 68),
-        "(1 2)": (82, 59, 10947, 0, 55),
+        "(1 2 3 4 5)": (28, 22, 2864, 0, 14),
+        "(1 2 3 4)": (58, 51, 6528, 0, 44),
+        "(1 2 3)(4 5)": (23, 21, 3633, 0, 15),
+        "(1 2 3)": (32, 26, 3935, 0, 19),
+        "(1 2)(3 4)": (67, 51, 7273, 0, 46),
+        "(1 2)": (76, 66, 10497, 0, 63),
         "id": (115, 99, 13254, 0, 95),
     },
     "incremental": {
-        "(1 2 3 4 5)": (30, 25, 3229, 0, 18, (5, 1991)),
-        "(1 2 3 4)": (60, 50, 6681, 0, 43, (39, 13526)),
-        "(1 2 3)(4 5)": (39, 32, 4735, 0, 25, (35, 9930)),
-        "(1 2 3)": (35, 26, 4245, 0, 19, (44, 12486)),
-        "(1 2)(3 4)": (112, 76, 10914, 0, 69, (102, 25238)),
-        "(1 2)": (82, 59, 10947, 0, 55, (106, 23772)),
+        "(1 2 3 4 5)": (28, 22, 2864, 0, 14, (5, 1991)),
+        "(1 2 3 4)": (58, 51, 6528, 0, 44, (39, 13076)),
+        "(1 2 3)(4 5)": (23, 21, 3633, 0, 15, (35, 9930)),
+        "(1 2 3)": (32, 26, 3935, 0, 19, (44, 12486)),
+        "(1 2)(3 4)": (67, 51, 7273, 0, 46, (100, 24432)),
+        "(1 2)": (76, 66, 10497, 0, 63, (106, 23774)),
         "id": (115, 99, 13255, 0, 95, (225, 34002)),
     },
 }
