@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -10,7 +11,8 @@ import tempfile
 
 from .errors import DatabaseParseError, PropagatorContractViolation
 from .oracle import verify_database
-from .run import BACKENDS, RunConfig, render_stats_table, run_enumerate, write_solutions, write_stats
+from .run import (BACKENDS, RunConfig, render_stats_table, run_enumerate, solutions_temp_path, write_solutions,
+                  write_stats)
 from .symmetry import Diagonal
 
 
@@ -29,7 +31,10 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="run the partial minimality check every FREQ-th decision")
     enum.add_argument("--node-limit", type=int, default=RunConfig.node_limit,
                       help="node budget of a partial backtracking check")
-    enum.add_argument("--eo", choices=["binary", "commander"], default=RunConfig.eo_method, help="ExactlyOne encoding")
+    enum.add_argument("--eo", choices=["binary", "commander"], default=RunConfig.eo_method,
+                      help="ExactlyOne encoding: binary is pairwise on groups of at most 7 literals "
+                           "and uses ceil(log2 m) auxiliary bits above; commander adds a variable "
+                           "per group of three")
     enum.add_argument("--workers", type=int, default=RunConfig.workers,
                       help="processes over diagonals, dispatched largest centralizer first")
     enum.add_argument("--out", default="-", help="solutions file ('-' for stdout)")
@@ -54,13 +59,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_writable(path: str):
-    """Open `path` for appending, as writing it later would need, and remove
-    it again if this created it; raises OSError when it cannot be written."""
+    """Open `path` for appending, as writing the stats or the trace later
+    would need, and remove it again if this created it; raises OSError when
+    it cannot be written."""
     existed = os.path.lexists(path)
     with open(path, "a", encoding="utf-8"):
         pass
     if not existed:
         os.remove(path)
+
+
+def _check_out_writable(path: str):
+    """Do what `write_solutions` will do with `path`: create and remove its
+    temporary file, or, for a file it writes in place, test write access
+    without opening it (opening a FIFO waits for a reader); raises OSError
+    when it cannot be written."""
+    tmp = solutions_temp_path(path)
+    if tmp is None:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        return
+    with open(tmp, "w", encoding="utf-8"):
+        pass
+    os.remove(tmp)
 
 
 def _check_dir_writable(path: str):
@@ -92,8 +115,9 @@ def _cmd_enumerate(args) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     # fail before a possibly hours-long enumeration, not after it
-    outputs = [(path, _check_writable) for path in (config.out_path, config.stats_path, config.trace_path)
-               if path not in (None, "-")]
+    checks = [(config.out_path, _check_out_writable), (config.stats_path, _check_writable),
+              (config.trace_path, _check_writable)]
+    outputs = [(path, check) for path, check in checks if path not in (None, "-")]
     if config.dimacs_dir:
         outputs.append((config.dimacs_dir, _check_dir_writable))
     for path, check in outputs:

@@ -10,14 +10,16 @@ equation evaluate to b.
 
 Variable layout, in order: matrix variables (cells row-major, values
 ascending), then y variables, then auxiliaries from the ExactlyOne
-encodings.  Matrix variables coming first is what the solver's branching
-order relies on.
+encodings.  With the default "binary" method only groups of 8 or more
+literals get auxiliaries, so up to n = 7 there are none; at n = 8 only the
+head groups y(i,j,k,.) have them.  "commander" adds them for groups of
+more than three.  Matrix variables coming first is what the solver's
+branching order relies on.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterable, Optional
 
 from .cycleset import CycleSet
@@ -39,11 +41,20 @@ class VarAllocator:
         return v
 
 
+# Largest group the "binary" method encodes pairwise: for every m up to it,
+# pairwise at-most-one needs no more clauses than the bits,
+# m(m-1)/2 <= m*ceil(log2 m); at m = 8 it needs 28 against 24.  (m = 9 ties
+# again, 36 against 36, but stays on bits with every larger group.)
+PAIRWISE_MAX = 7
+
+
 def exactly_one(lits: list[int], method: str, alloc: VarAllocator) -> list[Clause]:
     """Clauses satisfied exactly when one of `lits` is true.
 
-    binary: ceil(log2 m) auxiliary bits, each input implies its bit
-    pattern.  commander: groups of three with commander variables [KK07].
+    binary: for m <= PAIRWISE_MAX = 7 inputs, pairwise at-most-one, with
+    no auxiliary variable; larger groups get ceil(log2 m) auxiliary bits,
+    each input implying its bit pattern.
+    commander: groups of three with commander variables [KK07].
     """
     if not lits:
         raise ValueError("exactly_one over an empty set")
@@ -58,9 +69,9 @@ def exactly_one(lits: list[int], method: str, alloc: VarAllocator) -> list[Claus
 
 def _exactly_one_binary(lits: list[int], alloc: VarAllocator) -> list[Clause]:
     m = len(lits)
-    if m == 1:
-        return [[lits[0]]]
-    nbits = max(1, math.ceil(math.log2(m)))
+    if m <= PAIRWISE_MAX:
+        return [list(lits)] + _at_most_one_pairwise(lits)
+    nbits = (m - 1).bit_length()  # ceil(log2 m)
     bits = [alloc.fresh() for _ in range(nbits)]
     clauses: list[Clause] = [list(lits)]
     for idx, lit in enumerate(lits):

@@ -91,7 +91,10 @@ class DiagStats:
     })
     total_time: float = 0.0
     engine: dict = field(default_factory=dict)
-    # lex-leader clauses loaded for the diagonal beside its axioms
+    # the solver's variables (lex-leader chain variables included), the
+    # axiom clauses, and the lex-leader clauses loaded beside them
+    variables: int = 0
+    axiom_clauses: int = 0
     static_clauses: int = 0
     # incremental backend: complete checks a recent witness answered, and
     # the complete oracle's solver counters over the remaining solves
@@ -195,6 +198,8 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
     st.solutions = len(hooks_impl.solutions)
     st.total_time = time.perf_counter() - t0
     st.engine = solver.stats()
+    st.variables = num_vars
+    st.axiom_clauses = len(cnf.clauses)
     st.static_clauses = len(symmetry_clauses)
     oracle = hooks_impl._complete_oracle
     if oracle is not None:
@@ -256,23 +261,42 @@ def run_enumerate(config: RunConfig) -> tuple[list[CycleSet], dict]:
     return merged, stats
 
 
+def solutions_temp_path(path: str) -> Optional[str]:
+    """The temporary name `write_solutions` writes `path` under before
+    renaming it onto `path`, or None when it writes `path` in place.
+
+    An existing file that is not a regular file (a device such as
+    /dev/null, a FIFO, a terminal, a directory) is written in place:
+    renaming onto it would replace it.  A symbolic link is followed, so
+    the file it names is replaced and the link stays.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        return None
+    return f"{os.path.realpath(path)}.{os.getpid()}.tmp"
+
+
 def write_solutions(solutions: list[CycleSet], path: Optional[str]):
     """One line per cycle set, to `path` or, for None or "-", to stdout.
 
-    A file is written under a temporary name in the same directory and
-    renamed onto `path`, so an interrupted write leaves no partial file and
-    whatever was at `path` before stays as it was.
+    A regular or new file is written under `solutions_temp_path(path)` in
+    the same directory and renamed onto `path`, so an interrupted write
+    leaves no partial file and whatever was at `path` before stays as it
+    was.  Any other existing file is written in place.
     """
     lines = (c.to_line() + "\n" for c in solutions)
     if path is None or path == "-":
         sys.stdout.writelines(lines)
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = solutions_temp_path(path)
+    if tmp is None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        return
     fh = open(tmp, "w", encoding="utf-8")
     try:
         with fh:
             fh.writelines(lines)
-        os.replace(tmp, path)
+        os.replace(tmp, os.path.realpath(path))
     except BaseException:
         os.remove(tmp)
         raise

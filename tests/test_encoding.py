@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -23,7 +24,7 @@ def models_of(clauses, num_vars):
 
 
 @pytest.mark.parametrize("method", ["binary", "commander"])
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 8, 9])
 def test_exactly_one_truth_table(method, m):
     alloc = VarAllocator(m + 1)
     clauses = exactly_one(list(range(1, m + 1)), method, alloc)
@@ -31,6 +32,20 @@ def test_exactly_one_truth_table(method, m):
     models = models_of(clauses, num_vars)
     projections = sorted(set(bits[:m] for bits in models))
     assert projections == sorted(tuple(i == k for i in range(m)) for k in range(m))
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_binary_exactly_one_needs_bits_only_above_seven(m):
+    alloc = VarAllocator(m + 1)
+    clauses = exactly_one(list(range(1, m + 1)), "binary", alloc)
+    aux = alloc.next_var - (m + 1)
+    nbits = math.ceil(math.log2(m))
+    if m <= 7:
+        assert aux == 0
+        assert len(clauses) == 1 + m * (m - 1) // 2 <= 1 + m * nbits
+    else:
+        assert aux == nbits
+        assert len(clauses) == 1 + m * nbits
 
 
 def test_exactly_one_rejects_bad_input():

@@ -1,6 +1,10 @@
+import errno
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -8,7 +12,7 @@ from cyclesat import cli, run
 from cyclesat.cli import main
 from cyclesat.encoding import encode_axioms, lex_leader_clauses
 from cyclesat.oracle import brute_force_all, is_lex_min, lex_min_reps
-from cyclesat.run import RunConfig, render_stats_table, run_enumerate
+from cyclesat.run import BACKENDS, RunConfig, render_stats_table, run_enumerate
 from cyclesat.solver import Solver
 from cyclesat.symmetry import PARTITIONS_MAX_N, representative_diagonals
 
@@ -220,6 +224,30 @@ def test_stats_out_counts_the_static_clauses(tmp_path):
         assert data[d.label()]["static_clauses"] == len(clauses) > 0, d.label()
 
 
+def test_stats_out_counts_the_variables_and_axiom_clauses(tmp_path):
+    stats = tmp_path / "n4.json"
+    assert run_cli("enumerate", "--size", "4", "--backend", "backtrack", "--out", "-",
+                   "--stats-out", str(stats)) == 0
+    data = json.loads(stats.read_text())
+    for d in representative_diagonals(4):
+        cnf = encode_axioms(4, d)
+        _, num_vars = lex_leader_clauses(cnf.varmap, cnf.num_vars + 1)
+        assert data[d.label()]["variables"] == num_vars, d.label()
+        assert data[d.label()]["axiom_clauses"] == len(cnf.clauses), d.label()
+        # every ExactlyOne group has at most 4 literals, so no auxiliaries
+        assert cnf.num_vars == cnf.varmap.num_matrix_vars + 6 * 4 * 4
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_commander_encoding_finds_the_same_n5_lines(backend):
+    lines = {}
+    for eo in ("binary", "commander"):
+        sols, _ = run_enumerate(RunConfig(n=5, backend=backend, eo_method=eo))
+        lines[eo] = [c.to_line() for c in sols]
+    assert len(lines["binary"]) == 88
+    assert lines["commander"] == lines["binary"]
+
+
 class HalfWrittenFile:
     """A file whose first write stores half its text, then raises as a
     Ctrl-C would."""
@@ -262,6 +290,38 @@ def test_interrupted_write_keeps_the_previous_output(tmp_path, monkeypatch):
     run.write_solutions(sols, str(out))
     assert out.read_text() == "".join(c.to_line() + "\n" for c in sols)
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_out_through_a_symlink_replaces_the_file_it_names(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    sols, _ = run_enumerate(RunConfig(n=3, backend="backtrack"))
+    run.write_solutions(sols, str(link))
+    assert link.is_symlink()
+    assert target.read_text() == "".join(c.to_line() + "\n" for c in sols)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
+def test_out_onto_a_fifo_writes_in_place(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, encoding="utf-8") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert run_cli("enumerate", "--size", "3", "--backend", "backtrack", "--out", str(fifo)) == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    sols, _ = run_enumerate(RunConfig(n=3, backend="backtrack"))
+    assert got == ["".join(c.to_line() + "\n" for c in sols)]
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
 def test_cli_verify_tampered_exits_1(tmp_path, capsys):
@@ -323,6 +383,32 @@ def test_cli_unwritable_out_exits_2_before_enumerating(tmp_path, capsys, monkeyp
     assert run_cli("enumerate", "--size", "3", "--out", str(out)) == 2
     assert f"cannot write {out}: " in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+def test_cli_out_without_room_for_its_temp_file_exits_2(tmp_path, capsys, monkeypatch):
+    # a writable file in a directory where no new file can be created
+    _no_enumeration(monkeypatch)
+    out = tmp_path / "old.txt"
+    out.write_text("kept\n")
+    tmp = run.solutions_temp_path(str(out))
+
+    def refusing_open(file, *args, **kwargs):
+        if file == tmp:
+            raise PermissionError(errno.EACCES, "Permission denied", file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", refusing_open, raising=False)
+    assert run_cli("enumerate", "--size", "3", "--out", str(out)) == 2
+    assert f"cannot write {out}: " in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["old.txt"]
+
+
+def test_cli_out_onto_a_directory_exits_2(tmp_path, capsys, monkeypatch):
+    _no_enumeration(monkeypatch)
+    assert run_cli("enumerate", "--size", "3", "--out", str(tmp_path)) == 2
+    assert f"cannot write {tmp_path}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_unwritable_stats_out_exits_2_and_keeps_out(tmp_path, capsys, monkeypatch):

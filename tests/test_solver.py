@@ -299,22 +299,22 @@ def test_watch_lists_stay_consistent_through_search(data):
 # on purpose re-records them and says so in CHANGES.md.
 PINNED_N5_SEARCH = {
     "backtrack": {
-        "(1 2 3 4 5)": (28, 22, 2864, 0, 14),
-        "(1 2 3 4)": (58, 51, 6528, 0, 44),
-        "(1 2 3)(4 5)": (23, 21, 3633, 0, 15),
-        "(1 2 3)": (32, 26, 3935, 0, 19),
-        "(1 2)(3 4)": (67, 51, 7273, 0, 46),
-        "(1 2)": (76, 66, 10497, 0, 63),
-        "id": (115, 99, 13254, 0, 95),
+        "(1 2 3 4 5)": (30, 22, 1749, 0, 14),
+        "(1 2 3 4)": (61, 52, 4070, 0, 45),
+        "(1 2 3)(4 5)": (23, 21, 2263, 0, 15),
+        "(1 2 3)": (30, 25, 2428, 0, 18),
+        "(1 2)(3 4)": (67, 50, 4479, 0, 45),
+        "(1 2)": (77, 66, 6519, 0, 63),
+        "id": (117, 100, 8900, 0, 96),
     },
     "incremental": {
-        "(1 2 3 4 5)": (28, 22, 2864, 0, 14, (5, 1991)),
-        "(1 2 3 4)": (58, 51, 6528, 0, 44, (39, 13076)),
-        "(1 2 3)(4 5)": (23, 21, 3633, 0, 15, (35, 9930)),
-        "(1 2 3)": (32, 26, 3935, 0, 19, (44, 12486)),
-        "(1 2)(3 4)": (67, 51, 7273, 0, 46, (100, 24432)),
-        "(1 2)": (76, 66, 10497, 0, 63, (106, 23774)),
-        "id": (115, 99, 13255, 0, 95, (225, 34002)),
+        "(1 2 3 4 5)": (30, 22, 1749, 0, 14, (5, 1441)),
+        "(1 2 3 4)": (61, 52, 4070, 0, 45, (39, 9731)),
+        "(1 2 3)(4 5)": (23, 21, 2263, 0, 15, (35, 7377)),
+        "(1 2 3)": (30, 25, 2428, 0, 18, (44, 9200)),
+        "(1 2)(3 4)": (67, 50, 4479, 0, 45, (97, 17562)),
+        "(1 2)": (77, 66, 6519, 0, 63, (105, 18020)),
+        "id": (117, 100, 8900, 0, 96, (222, 26146)),
     },
 }
 
