@@ -27,10 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--size", "-n", type=int, required=True, help="size of the cycle sets")
     enum.add_argument("--diagonal", default="all", help="cycle notation, e.g. '(1 2)(3 4)', or 'all'")
     enum.add_argument("--backend", choices=BACKENDS, default=RunConfig.backend)
-    enum.add_argument("--freq", type=int, default=RunConfig.freq,
-                      help="run the partial minimality check every FREQ-th decision")
-    enum.add_argument("--node-limit", type=int, default=RunConfig.node_limit,
-                      help="node budget of a partial backtracking check")
     enum.add_argument("--eo", choices=["binary", "commander"], default=RunConfig.eo_method,
                       help="ExactlyOne encoding: binary is pairwise on groups of at most 7 literals "
                            "and uses ceil(log2 m) auxiliary bits above; commander adds a variable "
@@ -100,8 +96,6 @@ def _cmd_enumerate(args) -> int:
             n=args.size,
             diagonal=args.diagonal,
             backend=args.backend,
-            freq=args.freq,
-            node_limit=args.node_limit,
             eo_method=args.eo,
             workers=args.workers,
             out_path=args.out,

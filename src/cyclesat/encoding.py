@@ -105,10 +105,9 @@ def _exactly_one_commander(lits: list[int], alloc: VarAllocator, group: int = 3)
 class VarMap:
     """Variable numbering for one (n, diagonal) instance."""
 
-    def __init__(self, n: int, diagonal: Diagonal, method: str):
+    def __init__(self, n: int, diagonal: Diagonal):
         self.n = n
         self.diagonal = diagonal
-        self.method = method
         self.diagonal_values = diagonal.values()
         alloc = VarAllocator()
         self._matrix: dict[tuple[int, int, int], int] = {}
@@ -220,7 +219,7 @@ def encode_axioms(n: int, diagonal: Diagonal, method: str = "binary") -> Cnf:
         raise ValueError("n must be at least 2")
     if diagonal.n != n:
         raise ValueError("diagonal size mismatch")
-    vm = VarMap(n, diagonal, method)
+    vm = VarMap(n, diagonal)
     diag = vm.diagonal_values
     clauses: list[Clause] = []
 

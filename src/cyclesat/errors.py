@@ -25,10 +25,6 @@ class NotPropagatingError(Exception):
     """A propagation clause would not be unit under the inducing assignment."""
 
 
-class BudgetOnCompleteCheckError(Exception):
-    """A search budget was supplied for a complete-input minimality check."""
-
-
 class PropagatorContractViolation(Exception):
     """A hook returned a clause that is neither falsified nor unit."""
 

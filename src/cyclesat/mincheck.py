@@ -21,8 +21,10 @@ from .cycleset import (
     mask_values,
     strictly_below,
 )
-from .errors import BudgetOnCompleteCheckError
 from .symmetry import Diagonal
+
+# node limit of a partial check; a complete check runs to the end
+PARTIAL_NODE_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -57,17 +59,6 @@ class Unknown:
 
 
 MinCheckOutcome = Union[Minimal, Witness, Propagate, Unknown]
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Node limit for partial checks."""
-
-    max_nodes: int
-
-    def __post_init__(self):
-        if self.max_nodes < 1:
-            raise ValueError("max_nodes must be at least 1")
 
 
 class _BudgetExhausted(Exception):
@@ -250,29 +241,20 @@ class _Search:
         return None
 
 
-def check(
-    p: PartialCycleSet,
-    diagonal: Diagonal,
-    budget: Optional[SearchBudget] = None,
-    *,
-    complete: bool,
-) -> MinCheckOutcome:
+def check(p: PartialCycleSet, diagonal: Diagonal, *, complete: bool) -> MinCheckOutcome:
     """Minimality check by backtracking over the centralizer.
 
     Returns Witness at the first strict cell, Propagate at a non-strict
     boundary on an undefined cell (partial inputs only), Minimal after
-    exhausting the search, or Unknown once the node budget is spent.
-    Complete inputs always run to completion, so no budget is accepted.
+    exhausting the search, or, for a partial input only, Unknown once
+    PARTIAL_NODE_LIMIT nodes are spent.  A complete input always runs to
+    completion.
     """
-    if complete:
-        if budget is not None:
-            raise BudgetOnCompleteCheckError("complete checks must run to completion")
-        if not p.is_complete():
-            raise ValueError("complete=True requires a fully defined cycle set")
+    if complete and not p.is_complete():
+        raise ValueError("complete=True requires a fully defined cycle set")
     if p.n != diagonal.n:
         raise ValueError("size mismatch")
     for x in range(1, p.n + 1):
         if p.domain(x, x) != 1 << (diagonal.value(x) - 1):
             raise ValueError("partial cycle set disagrees with the diagonal")
-    search = _Search(p, diagonal, complete, budget.max_nodes if budget else None)
-    return search.run()
+    return _Search(p, diagonal, complete, None if complete else PARTIAL_NODE_LIMIT).run()

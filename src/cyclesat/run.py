@@ -4,8 +4,8 @@ Each selected diagonal is an independent subproblem: its axioms are
 encoded, static lex-leader clauses are added for aligned swaps of its
 equal-length cycles and a one-step rotation of each cycle, and one `solve`
 call of a fresh solver enumerates it.  The propagator hooks run a
-minimality backend on every full assignment and, at the configured
-frequency, the backtracking check on partial ones; a minimal model is
+minimality backend on every full assignment and, every PARTIAL_FREQUENCY-th
+decision, the backtracking check on a partial one; a minimal model is
 recorded and blocked, a non-minimal one cut off with a breaking clause.
 Diagonals can run in separate processes; results are merged and sorted
 afterwards, so the worker count never changes the output.
@@ -25,7 +25,7 @@ from .cycleset import CycleSet, PartialCycleSet, extract_partial
 from .encoding import Cnf, encode_axioms, decode_model, lex_leader_clauses
 from .errors import NotPropagatingError
 from .learning import blocking_clause, breaking_clause, optimize_clause, propagation_clause
-from .mincheck import Minimal, Propagate, SearchBudget, Unknown, Witness
+from .mincheck import Minimal, Propagate, Unknown, Witness
 from .mincheck import check as backtrack_check
 from .sat_mincheck import OracleInstance
 from .sat_mincheck import check as oracle_check
@@ -33,17 +33,15 @@ from .solver import PropagatorHooks, Solver
 from .symmetry import PARTITIONS_MAX_N, Diagonal, representative_diagonals
 
 BACKENDS = ("backtrack", "incremental")
-# partial minimality check every FREQ-th decision
-DEFAULT_FREQ = 50
+# the partial minimality check runs before every PARTIAL_FREQUENCY-th decision
+PARTIAL_FREQUENCY = 50
 
 
 @dataclass
 class RunConfig:
     n: int
     diagonal: Optional[str] = None  # cycle notation, or None/"all" for every class
-    backend: str = "incremental"
-    freq: int = DEFAULT_FREQ
-    node_limit: int = 200
+    backend: str = "backtrack"
     eo_method: str = "binary"
     workers: int = 1
     out_path: Optional[str] = None
@@ -62,9 +60,8 @@ class RunConfig:
             raise ValueError(f"size must be between 2 and {PARTITIONS_MAX_N}")
         if self.diagonal not in (None, "all"):
             Diagonal.parse(self.diagonal, self.n)
-        for name in ("workers", "freq", "node_limit"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
 @dataclass
@@ -146,7 +143,7 @@ class MinimalityHooks:
     def on_partial(self, view) -> Optional[list[int]]:
         t0 = time.perf_counter()
         p = extract_partial(view, self.varmap)
-        out = backtrack_check(p, self.diagonal, SearchBudget(self.config.node_limit), complete=False)
+        out = backtrack_check(p, self.diagonal, complete=False)
         st = self.stats
         st.partial_checks += 1
         clause = None
@@ -187,7 +184,7 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
     hooks = PropagatorHooks(
         on_complete=hooks_impl.on_complete,
         on_partial=hooks_impl.on_partial,
-        partial_frequency=config.freq,
+        partial_frequency=PARTIAL_FREQUENCY,
     )
     try:
         solver.solve(hooks=hooks)  # unsat once every minimal model is blocked

@@ -53,15 +53,15 @@ class PropagatorHooks:
 
     on_complete decides every full assignment: None accepts it, and solve()
     returns it as a sat result.  on_partial is called before every
-    `partial_frequency`-th decision and may return None.  Any clause either
-    returns is installed permanently and must be falsified under the
-    current trail, or, from on_partial only, unit; anything else raises
-    PropagatorContractViolation.
+    `partial_frequency`-th decision (every decision by default) and may
+    return None.  Any clause either returns is installed permanently and
+    must be falsified under the current trail, or, from on_partial only,
+    unit; anything else raises PropagatorContractViolation.
     """
 
     on_complete: Callable[[list[bool]], Optional[list[int]]]
     on_partial: Optional[Callable[["AssignmentView"], Optional[list[int]]]] = None
-    partial_frequency: int = 50
+    partial_frequency: int = 1
 
 
 class AssignmentView:

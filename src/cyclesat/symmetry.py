@@ -1,5 +1,5 @@
-"""Diagonals as permutations, conjugacy-class representatives, centralizers,
-and the ordered-partition representation of sets of permutations.
+"""Diagonals as permutations, conjugacy-class representatives, and
+centralizers.
 
 Only the symmetric group machinery this enumeration needs lives here: the
 diagonal of a cycle set viewed as a permutation in cycle form, one

@@ -1,18 +1,14 @@
 import random
 
-import pytest
-
 from cyclesat.cycleset import (
     PartialCycleSet,
     apply_permutation,
     mask_of,
     strictly_below,
 )
-from cyclesat.errors import BudgetOnCompleteCheckError
 from cyclesat.mincheck import (
     Minimal,
     Propagate,
-    SearchBudget,
     Unknown,
     Witness,
     _Search,
@@ -81,14 +77,6 @@ def test_n2_lex_min_is_minimal():
     assert isinstance(out, Minimal)
 
 
-def test_budget_on_complete_check_rejected():
-    from cyclesat.cycleset import CycleSet
-
-    p = complete_partial(CycleSet.from_rows([[1, 2], [1, 2]]))
-    with pytest.raises(BudgetOnCompleteCheckError):
-        check(p, Diagonal.identity(2), SearchBudget(max_nodes=5), complete=True)
-
-
 def test_budget_exhaustion_returns_unknown():
     n = 5
     diag = Diagonal.identity(n)
@@ -97,7 +85,7 @@ def test_budget_exhaustion_returns_unknown():
         for i in range(1, n + 1)
         for j in range(1, n + 1)
     ])
-    out = check(full, diag, SearchBudget(max_nodes=1), complete=False)
+    out = _Search(full, diag, complete=False, max_nodes=1).run()
     assert isinstance(out, (Unknown, Witness, Propagate))
     # never Minimal under a truncating budget: the search tree has branches
     assert not isinstance(out, Minimal)

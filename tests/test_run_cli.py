@@ -67,7 +67,9 @@ def test_one_oracle_instance_per_incremental_diagonal(monkeypatch):
             built.append(self.diagonal.label())
 
     monkeypatch.setattr(run, "OracleInstance", CountingOracle)
-    _, stats = run_enumerate(RunConfig(n=4, backend="incremental", freq=1))
+    # at the fixed schedule n=4 ends before a partial check
+    monkeypatch.setattr(run, "PARTIAL_FREQUENCY", 1)
+    _, stats = run_enumerate(RunConfig(n=4, backend="incremental"))
     assert sum(st["partial_checks"] for st in stats.values()) > 0
     assert sorted(built) == sorted(stats)
 
@@ -179,10 +181,13 @@ def test_invalid_config_rejected():
         with pytest.raises(ValueError, match="size must be between 2 and"):
             RunConfig(n=n, diagonal="(1 2)")
     RunConfig(n=PARTITIONS_MAX_N)
-    for field in ("workers", "freq", "node_limit"):
-        for bad in (0, -3):
-            with pytest.raises(ValueError, match=field):
-                RunConfig(n=4, **{field: bad})
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            RunConfig(n=4, workers=bad)
+
+
+def test_backtrack_is_the_default_backend():
+    assert RunConfig(n=4).backend == "backtrack"
 
 
 def run_cli(*args):
@@ -372,9 +377,18 @@ def _no_enumeration(monkeypatch):
 
 def test_cli_limit_below_one_exits_2_before_enumerating(capsys, monkeypatch):
     _no_enumeration(monkeypatch)
-    for flag in ("--freq", "--node-limit", "--workers"):
-        assert run_cli("enumerate", "--size", "5", flag, "0") == 2
-        assert "invalid configuration: " in capsys.readouterr().err
+    assert run_cli("enumerate", "--size", "5", "--workers", "0") == 2
+    assert "invalid configuration: " in capsys.readouterr().err
+
+
+def test_cli_refuses_the_partial_check_schedule_flags(capsys, monkeypatch):
+    # the schedule is fixed: run.PARTIAL_FREQUENCY and mincheck.PARTIAL_NODE_LIMIT
+    _no_enumeration(monkeypatch)
+    for flag in ("--freq", "--node-limit"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("enumerate", "--size", "4", flag, "50")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 50" in capsys.readouterr().err
 
 
 def test_cli_unwritable_out_exits_2_before_enumerating(tmp_path, capsys, monkeypatch):
