@@ -5,8 +5,10 @@ diagonal fixed, v(i,j,k) exists only for j != i and k != diag(i); clauses
 touching fixed diagonal values are simplified during generation (satisfied
 clauses dropped, false literals removed), keeping the numbering dense and
 reproducible.  The cycloid equation is channelled through head variables
-y(i,j,k,b), generated for i < j, that hold exactly when both sides of the
-equation evaluate to b.
+y(i,j,k,b), generated for i < j and k not in {i, j}, that hold exactly when
+both sides of the equation evaluate to b.  For k in {i, j} one side falls
+on the fixed diagonal, and the equation is written as direct clauses over
+matrix variables alone.
 
 Variable layout, in order: matrix variables (cells row-major, values
 ascending), then y variables, then auxiliaries from the ExactlyOne
@@ -103,7 +105,9 @@ def _exactly_one_commander(lits: list[int], alloc: VarAllocator, group: int = 3)
 
 
 class VarMap:
-    """Variable numbering for one (n, diagonal) instance."""
+    """Variable numbering for one (n, diagonal) instance: the matrix
+    variables v(i,j,k), then the head variables y(i,j,k,b) for i < j and
+    k not in {i, j}."""
 
     def __init__(self, n: int, diagonal: Diagonal):
         self.n = n
@@ -130,6 +134,8 @@ class VarMap:
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 for k in range(1, n + 1):
+                    if k == i or k == j:
+                        continue
                     for b in range(1, n + 1):
                         self._y[(i, j, k, b)] = alloc.fresh()
         self.alloc = alloc
@@ -176,45 +182,60 @@ class Cnf:
 
 
 def _cycloid_links(n: int, diag: tuple[int, ...], vm: VarMap, row: int, col_a: int, col_b: int, head_key: tuple[int, int, int]) -> Iterable[Clause]:
-    """Clauses forcing y(head_key, b) true when C[C[row,col_a], C[row,col_b]] = b.
+    """Clauses forcing y(head_key, b) true when C[C[row,col_a], C[row,col_b]] = b,
+    for a column col_b other than row and col_a.
 
-    Combinations impossible under row bijectivity or the fixed diagonal are
-    skipped; literals on fixed cells are dropped, and so are repeats, which
-    arise when the inner cell (x, y) lies in `row`.
+    Then x = C[row,col_a] and y = C[row,col_b] differ, so the inner cell
+    (x, y) is off the diagonal and cannot hold diag(x).  Combinations
+    impossible under row bijectivity or the fixed diagonal are skipped; a
+    repeated literal, which arises when the inner cell lies in `row`, is
+    written once.
     """
-    t_row = diag[row - 1]
-    i0, j0, k0 = head_key
-    for x in range(1, n + 1):
-        if x == t_row:
-            continue
-        lit_a = -vm.matrix_var(row, col_a, x)
-        if col_b == row:
-            y_vals = [diag[row - 1]]
-        elif col_b == col_a:
-            y_vals = [x]
-        else:
-            y_vals = [y for y in range(1, n + 1) if y != t_row and y != x]
-        for y in y_vals:
-            lits = [lit_a]
-            if col_b != row and col_b != col_a:
-                lits.append(-vm.matrix_var(row, col_b, y))
+    for x, var_a in vm.cell_vars(row, col_a):
+        t_x = diag[x - 1]
+        for y, var_b in vm.cell_vars(row, col_b):
             if y == x:
-                yield lits + [vm.y_var(i0, j0, k0, diag[x - 1])]
                 continue
-            t_x = diag[x - 1]
+            lits = [-var_a, -var_b]
             for b in range(1, n + 1):
                 if b == t_x:
                     continue
                 inner = -vm.matrix_var(x, y, b)
                 if inner in lits:
-                    yield lits + [vm.y_var(i0, j0, k0, b)]
+                    yield lits + [vm.y_var(*head_key, b)]
                 else:
-                    yield lits + [inner, vm.y_var(i0, j0, k0, b)]
+                    yield lits + [inner, vm.y_var(*head_key, b)]
+
+
+def _diagonal_instances(diag: tuple[int, ...], vm: VarMap, i: int, j: int) -> Iterable[Clause]:
+    """The cycloid equation for the pair (i, j) with k = i and with k = j.
+
+    With x = C[i,j] and y = C[j,i], k = i reads C[x, t_i] = C[y, y] = t_y
+    and k = j reads C[x, x] = t_x = C[y, t_j], where t is the diagonal.
+    Rows are permutations, so x != t_i and y != t_j, and both cells are
+    off the diagonal.  Neither can hold t_x when y = x: then the two
+    instances are one binary clause.  A clause whose third literal is the
+    negation of one of the first two holds on every matrix and is skipped.
+    """
+    ti, tj = diag[i - 1], diag[j - 1]
+    for x, vx in vm.cell_vars(i, j):
+        for y, vy in vm.cell_vars(j, i):
+            if y == x:
+                yield [-vx, -vy]
+                continue
+            for third in (vm.matrix_var(x, ti, diag[y - 1]), vm.matrix_var(y, tj, diag[x - 1])):
+                if third != vx and third != vy:
+                    yield [-vx, -vy, third]
 
 
 def encode_axioms(n: int, diagonal: Diagonal, method: str = "binary") -> Cnf:
     """CNF whose models, projected to matrix variables, are exactly the
-    cycle sets of size n with the given diagonal."""
+    cycle sets of size n with the given diagonal.
+
+    Clauses, in order: ExactlyOne per cell, ExactlyOne per row value, then
+    per pair i < j the direct clauses of the instances k = i and k = j,
+    followed by the head links and head ExactlyOne of every k not in
+    {i, j}."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if diagonal.n != n:
@@ -234,10 +255,14 @@ def encode_axioms(n: int, diagonal: Diagonal, method: str = "binary") -> Cnf:
             if k == diag[i - 1]:
                 continue
             clauses.extend(exactly_one([v for _, v in vm.row_value_vars(i, k)], method, vm.alloc))
-    # cycloid equation through shared head variables, both sides per pair i < j
+    # cycloid equation per pair i < j: direct clauses where one side lies on
+    # the diagonal, shared head variables for both sides everywhere else
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
+            clauses.extend(_diagonal_instances(diag, vm, i, j))
             for k in range(1, n + 1):
+                if k == i or k == j:
+                    continue
                 key = (i, j, k)
                 clauses.extend(_cycloid_links(n, diag, vm, i, j, k, key))
                 clauses.extend(_cycloid_links(n, diag, vm, j, i, k, key))

@@ -5,6 +5,7 @@ labelled counts are enabled with CYCLESAT_EXTENDED=1 (they take minutes in
 pure Python); everything else runs by default.
 """
 
+import hashlib
 import itertools
 import os
 import random
@@ -47,6 +48,12 @@ EXTENDED = os.environ.get("CYCLESAT_EXTENDED") == "1"
 
 TABLE_COUNTS = {2: 2, 3: 5, 4: 23, 5: 88, 6: 595, 7: 3456}
 N8_TOTAL = 34530
+# sha256 of the sorted output file, one line per solution
+OUTPUT_SHA256 = {
+    5: "66ed32029794463dfac6872e52f316f664617179ae31ae2131d22fd7a15c6899",
+    6: "1fe94e56f965d77d2d7abc24e230ce372cb95827f849b13475a2563752c9ea80",
+    7: "bdc8f571d051c8c1997a7725c4ed02a09401d6db221b97add4b16b15ce24c3b4",
+}
 N8_PER_DIAGONAL = {"id": 2041, "(1 2)": 4988, "(1 2)(3 4)": 7030}
 
 
@@ -75,6 +82,16 @@ def test_criterion_1_total_counts():
             for n, expect in TABLE_COUNTS.items():
                 got = len(enumerate_lines(n, backend))
                 assert got == expect, (backend, n, got, expect)
+
+
+def test_sorted_output_bytes_pinned():
+    # the files criterion 1 counted, byte for byte: an encoding or engine
+    # change may alter the search, never the output
+    with criterion("1h", "sorted output sha256 n=5..7, both backends"):
+        for backend in ("backtrack", "incremental"):
+            for n, digest in OUTPUT_SHA256.items():
+                data = "".join(line + "\n" for line in enumerate_lines(n, backend)).encode()
+                assert hashlib.sha256(data).hexdigest() == digest, (backend, n)
 
 
 @pytest.mark.extended
@@ -143,8 +160,10 @@ def test_orbit_sums_match_labelled_counts(tmp_path):
 # n=7 diagonals with the smallest labelled counts, whose orbit sums run by
 # default; the others take up to minutes each and run with
 # CYCLESAT_EXTENDED=1.  The identity diagonal is left out: its 214 320
-# labelled cycle sets take the counter about 20 minutes, and it gets only
-# the fixed-point swaps the whole-size test already covers at n <= 6.
+# labelled cycle sets take the counter over an hour on a 2-vCPU host (a run
+# was stopped unfinished after 60 minutes; the 25 680 of (1 2) took about
+# 3 minutes), and it gets only the fixed-point swaps the whole-size test
+# already covers at n <= 6.
 N7_ORBIT_SUMS_DEFAULT = ("(1 2 3 4 5 6 7)", "(1 2 3 4 5 6)", "(1 2 3 4 5)(6 7)", "(1 2 3 4 5)",
                          "(1 2 3 4)(5 6 7)")
 EXTENDED_ONLY = [pytest.mark.extended,

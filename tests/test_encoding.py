@@ -65,6 +65,43 @@ def test_matrix_variable_count():
     assert vm.matrix_var(1, 2, 2) is not None
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_heads_only_for_k_outside_the_pair(n):
+    # binary writes every group up to n = 7 without auxiliaries, so the
+    # variables are the matrix and the heads y(i,j,k,b), i < j, k not in {i, j}
+    heads = math.comb(n, 2) * (n - 2) * n
+    for diag in representative_diagonals(n):
+        cnf = encode_axioms(n, diag, "binary")
+        assert cnf.num_vars == cnf.varmap.num_matrix_vars + heads, diag.label()
+        assert len(cnf.varmap._y) == heads
+        assert all(k != i and k != j for i, j, k, _ in cnf.varmap._y)
+
+
+def test_direct_clauses_are_the_diagonal_instances_of_the_equation():
+    # The clauses over matrix variables alone are the cell and row
+    # ExactlyOne clauses, which every matrix below satisfies, and the
+    # direct clauses for k in {i, j}: a matrix must satisfy them exactly
+    # when C[C[x,y], C[x,z]] = C[C[y,x], C[y,z]] holds for z in {x, y}.
+    for n in (3, 4):
+        for diag in representative_diagonals(n):
+            cnf = encode_axioms(n, diag, "binary")
+            vm = cnf.varmap
+            matrix_only = [cl for cl in cnf.clauses if all(abs(l) <= vm.num_matrix_vars for l in cl)]
+            t = diag.values()
+            rows = [[p for p in itertools.permutations(range(1, n + 1)) if p[i] == t[i]] for i in range(n)]
+            outcomes = set()
+            for choice in itertools.product(*rows):
+                c = CycleSet.from_rows(choice)
+                true = set(matrix_literals(c, vm))
+                satisfied = all(any(l in true for l in cl) for cl in matrix_only)
+                e = c.entry
+                holds = all(e(e(x, y), e(x, z)) == e(e(y, x), e(y, z))
+                            for x in range(1, n + 1) for y in range(1, n + 1) for z in (x, y))
+                assert satisfied == holds, (diag.label(), c.to_line())
+                outcomes.add(holds)
+            assert outcomes == {False, True}, diag.label()
+
+
 def test_varmap_determinism():
     a = encode_axioms(4, Diagonal.parse("(1 2)", 4))
     b = encode_axioms(4, Diagonal.parse("(1 2)", 4))

@@ -239,8 +239,10 @@ def test_stats_out_counts_the_variables_and_axiom_clauses(tmp_path):
         _, num_vars = lex_leader_clauses(cnf.varmap, cnf.num_vars + 1)
         assert data[d.label()]["variables"] == num_vars, d.label()
         assert data[d.label()]["axiom_clauses"] == len(cnf.clauses), d.label()
-        # every ExactlyOne group has at most 4 literals, so no auxiliaries
-        assert cnf.num_vars == cnf.varmap.num_matrix_vars + 6 * 4 * 4
+        # every ExactlyOne group has at most 4 literals, so no auxiliaries;
+        # each of the 6 pairs i < j has heads for the 2 values of k other
+        # than i and j, 4 each
+        assert cnf.num_vars == cnf.varmap.num_matrix_vars + 6 * 2 * 4
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -299,22 +299,22 @@ def test_watch_lists_stay_consistent_through_search(data):
 # on purpose re-records them and says so in CHANGES.md.
 PINNED_N5_SEARCH = {
     "backtrack": {
-        "(1 2 3 4 5)": (30, 22, 1749, 0, 14),
-        "(1 2 3 4)": (61, 52, 4070, 0, 45),
-        "(1 2 3)(4 5)": (23, 21, 2263, 0, 15),
-        "(1 2 3)": (30, 25, 2428, 0, 18),
-        "(1 2)(3 4)": (67, 50, 4479, 0, 45),
-        "(1 2)": (77, 66, 6519, 0, 63),
-        "id": (117, 100, 8900, 0, 96),
+        "(1 2 3 4 5)": (15, 16, 803, 0, 11),
+        "(1 2 3 4)": (35, 31, 1909, 0, 23),
+        "(1 2 3)(4 5)": (20, 19, 1306, 0, 14),
+        "(1 2 3)": (26, 25, 1552, 0, 19),
+        "(1 2)(3 4)": (57, 43, 2957, 0, 39),
+        "(1 2)": (57, 45, 4234, 0, 42),
+        "id": (84, 76, 5880, 0, 73),
     },
     "incremental": {
-        "(1 2 3 4 5)": (30, 22, 1749, 0, 14, (5, 1441)),
-        "(1 2 3 4)": (61, 52, 4070, 0, 45, (39, 9731)),
-        "(1 2 3)(4 5)": (23, 21, 2263, 0, 15, (35, 7377)),
-        "(1 2 3)": (30, 25, 2428, 0, 18, (44, 9200)),
-        "(1 2)(3 4)": (67, 50, 4479, 0, 45, (97, 17562)),
-        "(1 2)": (77, 66, 6519, 0, 63, (105, 18020)),
-        "id": (117, 100, 8900, 0, 96, (222, 26146)),
+        "(1 2 3 4 5)": (15, 16, 803, 0, 11, (5, 1441)),
+        "(1 2 3 4)": (35, 31, 1909, 0, 23, (39, 9731)),
+        "(1 2 3)(4 5)": (20, 19, 1306, 0, 14, (35, 7377)),
+        "(1 2 3)": (26, 25, 1552, 0, 19, (44, 9200)),
+        "(1 2)(3 4)": (57, 43, 2957, 0, 39, (97, 17562)),
+        "(1 2)": (57, 45, 4234, 0, 42, (105, 17919)),
+        "id": (84, 76, 5880, 0, 73, (222, 26146)),
     },
 }
 
