@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--dimacs-dump", metavar="DIR",
                       help="dump the axiom CNFs and variable maps here (axioms only, without the "
                            "symmetry-breaking clauses the search adds)")
-    enum.add_argument("--trace", metavar="PATH", help="append a conflict/restart log here")
+    enum.add_argument("--trace", metavar="PATH",
+                      help="append a conflict/restart log here, one block per diagonal in selection order")
     enum.add_argument("--raw-order", action="store_true", help="emit solutions in solver order instead of sorting")
 
     ver = sub.add_parser("verify", help="check a solution database file")
@@ -98,8 +99,6 @@ def _cmd_enumerate(args) -> int:
             backend=args.backend,
             eo_method=args.eo,
             workers=args.workers,
-            out_path=args.out,
-            stats_path=args.stats_out,
             seed=args.seed,
             dimacs_dir=args.dimacs_dump,
             trace_path=args.trace,
@@ -109,7 +108,7 @@ def _cmd_enumerate(args) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     # fail before a possibly hours-long enumeration, not after it
-    checks = [(config.out_path, _check_out_writable), (config.stats_path, _check_writable),
+    checks = [(args.out, _check_out_writable), (args.stats_out, _check_writable),
               (config.trace_path, _check_writable)]
     outputs = [(path, check) for path, check in checks if path not in (None, "-")]
     if config.dimacs_dir:
@@ -125,9 +124,9 @@ def _cmd_enumerate(args) -> int:
     except PropagatorContractViolation as exc:
         print(f"internal contract violation: {exc}", file=sys.stderr)
         return 3
-    write_solutions(solutions, config.out_path)
-    if config.stats_path:
-        write_stats(stats, config.stats_path)
+    write_solutions(solutions, args.out)
+    if args.stats_out:
+        write_stats(stats, args.stats_out)
     return 0
 
 

@@ -93,28 +93,24 @@ class _Search:
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise _BudgetExhausted
 
-    def _fix_cycle(self, x: int, y: int) -> bool:
-        """Fix pi(x) = y and the rest of x's cycle; False (and no change) on clash."""
+    def _fix_cycle(self, x: int, y: int):
+        """Fix pi(x) = y and the rest of x's cycle onto y's.
+
+        Callers pass an unmapped x and a y that is no image yet, of a cycle
+        of the same length.  A cycle is only ever fixed whole, and `_undo`
+        removes it whole, so the mapped points and their images are always
+        unions of whole cycles: all of x's cycle is unmapped, all of y's is
+        free, and no step can clash.
+        """
         succ = self.diag._succ
         fwd, inv, trail = self.fwd, self.inv, self.trail
-        mark = len(trail)
         a, b = x, y
         for _ in range(self.diag.cycle_len(x)):
-            cur = fwd[a]
-            if cur:
-                if cur != b:
-                    self._undo(mark)
-                    return False
-            elif inv[b]:
-                self._undo(mark)
-                return False
-            else:
-                fwd[a] = b
-                inv[b] = a
-                trail.append((a, b))
+            fwd[a] = b
+            inv[b] = a
+            trail.append((a, b))
             a = succ[a]
             b = succ[b]
-        return True
 
     def _undo(self, mark: int):
         fwd, inv, trail = self.fwd, self.inv, self.trail
@@ -126,15 +122,10 @@ class _Search:
     def _completion(self) -> Permutation:
         """Greedy diagonal-respecting completion of the current fixes."""
         mark = len(self.trail)
-        fwd = self.fwd
+        fwd, inv = self.fwd, self.inv
         for x in range(1, self.n + 1):
-            if fwd[x]:
-                continue
-            for y in self.classmates[x]:
-                if not self.inv[y] and self._fix_cycle(x, y):
-                    break
-            else:
-                raise RuntimeError("no diagonal-respecting completion")
+            if not fwd[x]:
+                self._fix_cycle(x, next(y for y in self.classmates[x] if not inv[y]))
         pi = Permutation(fwd[1:])
         self._undo(mark)
         return pi
@@ -193,8 +184,7 @@ class _Search:
             if inv[y]:
                 continue
             self._node()
-            if not self._fix_cycle(x, y):
-                continue
+            self._fix_cycle(x, y)
             out = self._dfs(idx)
             if out is not None:
                 return out
@@ -211,8 +201,7 @@ class _Search:
             if fwd[u]:
                 continue
             self._node()
-            if not self._fix_cycle(u, value):
-                continue
+            self._fix_cycle(u, value)
             out = self._dfs(idx)
             if out is not None:
                 return out

@@ -168,10 +168,7 @@ def is_lex_min(c: CycleSet, diagonal: Optional[Diagonal] = None) -> bool:
     """No centralizer permutation of the diagonal lowers the matrix."""
     if diagonal is None:
         diagonal = Diagonal.from_values(c.diagonal_values())
-    for pi in centralizer(diagonal):
-        if apply_permutation(pi, c).entries < c.entries:
-            return False
-    return True
+    return scan_centralizer(c, diagonal)[0]
 
 
 def scan_centralizer(c: CycleSet, diagonal: Diagonal) -> tuple[bool, int]:

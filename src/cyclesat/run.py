@@ -13,6 +13,7 @@ afterwards, so the worker count never changes the output.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import sys
@@ -44,8 +45,6 @@ class RunConfig:
     backend: str = "backtrack"
     eo_method: str = "binary"
     workers: int = 1
-    out_path: Optional[str] = None
-    stats_path: Optional[str] = None
     seed: int = 0
     dimacs_dir: Optional[str] = None
     trace_path: Optional[str] = None
@@ -93,10 +92,11 @@ class DiagStats:
     variables: int = 0
     axiom_clauses: int = 0
     static_clauses: int = 0
-    # incremental backend: complete checks a recent witness answered, and
-    # the complete oracle's solver counters over the remaining solves
-    recent_hits: int = 0
+    # incremental backend: the complete oracle's solver counters
     complete_oracle: dict = field(default_factory=dict)
+    # the solver's conflict/restart log when tracing; `run_enumerate` writes
+    # it to the trace file and leaves it out of the stats it returns
+    trace: str = ""
 
 
 class MinimalityHooks:
@@ -173,11 +173,8 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
         _dump_dimacs(cnf, config, diagonal)
     symmetry_clauses, num_vars = lex_leader_clauses(cnf.varmap, cnf.num_vars + 1)
     solver = Solver(num_vars, num_static=cnf.varmap.num_matrix_vars, seed=config.seed)
-    trace_fh = None
     if config.trace_path:
-        trace_fh = open(config.trace_path, "a", encoding="utf-8")
-        trace_fh.write(f"# diagonal {diagonal.label()}\n")
-        solver.trace = trace_fh
+        solver.trace = io.StringIO()
     solver.add_cnf(cnf.clauses)
     solver.add_cnf(symmetry_clauses)
     hooks_impl = MinimalityHooks(cnf, diagonal, config)
@@ -186,11 +183,7 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
         on_partial=hooks_impl.on_partial,
         partial_frequency=PARTIAL_FREQUENCY,
     )
-    try:
-        solver.solve(hooks=hooks)  # unsat once every minimal model is blocked
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
+    solver.solve(hooks=hooks)  # unsat once every minimal model is blocked
     st = hooks_impl.stats
     st.solutions = len(hooks_impl.solutions)
     st.total_time = time.perf_counter() - t0
@@ -200,8 +193,9 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
     st.static_clauses = len(symmetry_clauses)
     oracle = hooks_impl._complete_oracle
     if oracle is not None:
-        st.recent_hits = oracle.recent_hits
         st.complete_oracle = oracle.solver.stats()
+    if solver.trace is not None:
+        st.trace = solver.trace.getvalue()
     return hooks_impl.solutions, st
 
 
@@ -255,6 +249,11 @@ def run_enumerate(config: RunConfig) -> tuple[list[CycleSet], dict]:
         merged.extend(per_diag[d.label()])
     if config.sorted_output:
         merged.sort()
+    # one block per diagonal in selection order, whichever worker ran it
+    blocks = [f"# diagonal {label}\n{st.pop('trace')}" for label, st in stats.items()]
+    if config.trace_path:
+        with open(config.trace_path, "a", encoding="utf-8") as fh:
+            fh.writelines(blocks)
     return merged, stats
 
 

@@ -15,12 +15,8 @@ descending, so bit order matches the numeric order) forces M' < M.
 There are none on w: the assumptions pin every w literal in both
 polarities, so they could only cost propagation.
 
-Each instance also keeps its last RECENT_WITNESSES witnesses, most recent
-first.  A check tries them on the cycle set before it solves: consecutive
-non-minimal models are mostly lowered by a permutation that lowered one of
-the last few, and applying one costs far less than a solve.  A hit moves
-to the front and is returned without the solver; Minimal comes only from
-the solver.
+Each check is one solve under those assumptions: UNSAT means minimal, a
+model yields the witness permutation.
 """
 
 from __future__ import annotations
@@ -31,10 +27,6 @@ from .errors import ShapeMismatchError
 from .mincheck import Minimal, MinCheckOutcome, Witness
 from .solver import Solver
 from .symmetry import Diagonal
-
-# witnesses kept per instance; keeping 4/8/16/64 ran n=5 single-process in
-# 0.500/0.464/0.454/0.474 s (2-vCPU Xeon, Python 3.11)
-RECENT_WITNESSES = 8
 
 
 class OracleInstance:
@@ -59,8 +51,6 @@ class OracleInstance:
         # checks tax every later assumption propagation
         self.solver = Solver(self.num_vars, num_static=self.num_p_vars, max_learnts=1500.0)
         self.solver.add_cnf(clauses)
-        self.recent: list[Permutation] = []  # last witnesses, most recent first
-        self.recent_hits = 0  # checks a recent witness answered without solving
 
     # ------------------------------------------------------------------ build
 
@@ -186,30 +176,18 @@ class OracleInstance:
 
 def check(p: PartialCycleSet, inst: OracleInstance) -> MinCheckOutcome:
     """Run one minimality query on a complete cycle set against a persistent
-    oracle instance.
+    oracle instance: one solve under the assumptions pinning `p`.
 
-    A recent witness of the instance that lowers `p` is returned first,
-    without solving.  Otherwise SAT decodes the permutation layer, locates
-    the strict cell on the caller's side and keeps the permutation as a
-    recent witness; UNSAT means lexicographically minimal.
+    UNSAT means lexicographically minimal; SAT decodes the permutation layer
+    and locates the strict cell on the caller's side.
     """
     if not p.is_complete():
         raise ValueError("the oracle needs a fully defined cycle set")
-    assumptions = inst.assumptions_for(p)
-    recent = inst.recent
-    for idx, pi in enumerate(recent):
-        cell = strictly_below(apply_permutation(pi, p), p)
-        if cell is not None:
-            recent.insert(0, recent.pop(idx))
-            inst.recent_hits += 1
-            return Witness(pi, cell)
-    res = inst.solver.solve(assumptions)
+    res = inst.solver.solve(inst.assumptions_for(p))
     if res.status == "unsat":
         return Minimal()
     pi = inst.decode_permutation(res.model)
     cell = strictly_below(apply_permutation(pi, p), p)
     if cell is None:
         raise RuntimeError("oracle produced a permutation that is not a witness")
-    recent.insert(0, pi)
-    del recent[RECENT_WITNESSES:]
     return Witness(pi, cell)

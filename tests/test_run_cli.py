@@ -26,7 +26,7 @@ def test_small_counts(backend):
 
 
 def test_stats_show_the_incremental_check_solves(monkeypatch):
-    # a complete check either takes a recent witness or solves once
+    # every complete check is exactly one solve of the diagonal's oracle
     solves = []
     inner = Solver.solve
 
@@ -44,16 +44,15 @@ def test_stats_show_the_incremental_check_solves(monkeypatch):
     monkeypatch.setattr(Solver, "solve", counting)
     monkeypatch.setattr(run, "MinimalityHooks", RecordingHooks)
     _, stats = run_enumerate(RunConfig(n=5, backend="incremental"))
-    assert sum(st["recent_hits"] for st in stats.values()) > 0
     for hooks in hooks_made:
         st = stats[hooks.diagonal.label()]
         oracle = hooks._complete_oracle
-        assert solves.count(oracle.solver) == st["complete_checks"] - st["recent_hits"]
-        assert st["recent_hits"] <= st["outcomes"]["complete_witness"]
+        assert solves.count(oracle.solver) == st["complete_checks"] > 0
         assert st["complete_oracle"] == oracle.solver.stats()
+        assert "recent_hits" not in st
     monkeypatch.undo()
     _, stats = run_enumerate(RunConfig(n=4, backend="backtrack"))
-    assert all(st["recent_hits"] == 0 and st["complete_oracle"] == {} for st in stats.values())
+    assert all(st["complete_oracle"] == {} for st in stats.values())
 
 
 def test_one_oracle_instance_per_incremental_diagonal(monkeypatch):
@@ -464,12 +463,19 @@ def test_cli_dimacs_dump(tmp_path):
 
 
 def test_cli_trace_log(tmp_path):
-    out = tmp_path / "n4.txt"
-    trace = tmp_path / "trace.log"
-    rc = run_cli("enumerate", "--size", "4", "--diagonal", "id", "--backend", "backtrack",
-                 "--out", str(out), "--trace", str(trace))
-    assert rc == 0
-    assert "conflict" in trace.read_text()
+    # one block per diagonal, header first, in selection order, whichever
+    # worker ran it
+    logs = []
+    for workers in (1, 2):
+        trace = tmp_path / f"trace-w{workers}.log"
+        rc = run_cli("enumerate", "--size", "4", "--backend", "backtrack", "--workers", str(workers),
+                     "--out", str(tmp_path / f"n4-w{workers}.txt"), "--trace", str(trace))
+        assert rc == 0
+        logs.append(trace.read_text())
+    assert logs[0] == logs[1]
+    assert "conflict" in logs[0]
+    headers = [line for line in logs[0].splitlines() if line.startswith("#")]
+    assert headers == [f"# diagonal {d.label()}" for d in representative_diagonals(4)]
 
 
 def test_cli_raw_order_flag(tmp_path):

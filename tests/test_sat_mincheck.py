@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from cyclesat.cycleset import CycleSet, Permutation, apply_permutation, strictly_below
+from cyclesat.cycleset import CycleSet, Permutation, apply_permutation
 from cyclesat.errors import ShapeMismatchError
 from cyclesat.mincheck import Minimal, Witness
 from cyclesat.oracle import brute_force_all, is_lex_min
 from cyclesat.run import RunConfig, enumerate_diagonal
-from cyclesat.sat_mincheck import RECENT_WITNESSES, OracleInstance, check
+from cyclesat.sat_mincheck import OracleInstance, check
 from cyclesat.symmetry import Diagonal, fixes_diagonal, representative_diagonals
 from test_mincheck import complete_partial
 
@@ -50,42 +50,24 @@ def test_instance_reuse_is_sound():
                 assert apply_permutation(out.perm, c).entries < c.entries
 
 
-def test_recent_witness_answers_without_solving():
-    diag = Diagonal.identity(4)
-    mats = [c for c in brute_force_all(4) if c.diagonal_values() == diag.values()]
-    inst = OracleInstance(4, diag)
-    first = next(c for c in mats if not is_lex_min(c, diag))
-    out = check(complete_partial(first), inst)
-    assert isinstance(out, Witness)
-    pi = out.perm
-    second = next(c for c in mats if c != first and apply_permutation(pi, c).entries < c.entries)
-    p = complete_partial(second)
-    before = inst.solver.stats()
-    assert inst.recent_hits == 0
-    again = check(p, inst)
-    assert inst.solver.stats() == before
-    assert inst.recent_hits == 1
-    assert isinstance(again, Witness)
-    assert again.perm == pi
-    assert again.cell == strictly_below(apply_permutation(pi, p), p)
-
-
 def test_minimal_after_recent_witnesses_fill():
-    # n=5 identity: relabelled representatives are non-minimal and fill the
-    # list; the representatives themselves must still be proven minimal
+    # n=5 identity: relabelled representatives are non-minimal; after at
+    # least 8 witnesses the representatives must still be proven minimal
     diag = Diagonal.identity(5)
     reps, _ = enumerate_diagonal(RunConfig(n=5, backend="backtrack"), diag)
     inst = OracleInstance(5, diag)
     perms = [Permutation(list(t)) for t in itertools.permutations(range(1, 6))]
     rnd = random.Random(1)
+    witnesses = 0
     for c in reps:
         for pi in rnd.sample(perms, 3):
             img = apply_permutation(pi, c)
             if not is_lex_min(img, diag):
                 assert isinstance(check(complete_partial(img), inst), Witness)
-        if len(inst.recent) == RECENT_WITNESSES:
+                witnesses += 1
+        if witnesses >= 8:
             break
-    assert len(inst.recent) == RECENT_WITNESSES
+    assert witnesses >= 8
     for c in reps:
         assert isinstance(check(complete_partial(c), inst), Minimal), c.to_line()
 

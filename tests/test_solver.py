@@ -314,7 +314,7 @@ PINNED_N5_SEARCH = {
         "(1 2 3)": (26, 25, 1552, 0, 19, (44, 9200)),
         "(1 2)(3 4)": (57, 43, 2957, 0, 39, (97, 17562)),
         "(1 2)": (57, 45, 4234, 0, 42, (105, 17919)),
-        "id": (84, 76, 5880, 0, 73, (222, 26146)),
+        "id": (84, 76, 5880, 0, 73, (226, 27157)),
     },
 }
 

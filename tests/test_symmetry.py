@@ -117,52 +117,44 @@ def snapshot(s):
 def test_propagate_cycle_paper_example():
     # diagonal (2 3 1)(5 6 4): fixing 1 -> 6 carries 1's cycle onto 6's
     s = search_state(Diagonal(6, [(2, 3, 1), (5, 6, 4)]))
-    assert s._fix_cycle(1, 6)
+    s._fix_cycle(1, 6)
     assert (s.fwd[1], s.fwd[3], s.fwd[2]) == (6, 5, 4)
     assert (s.inv[6], s.inv[5], s.inv[4]) == (1, 3, 2)
+    # 4's cycle goes onto the one free cycle, 1's, and undoing to the mark
+    # removes it whole
     before = snapshot(s)
-    assert not s._fix_cycle(4, 6)  # 6 is already the image of 1
-    assert snapshot(s) == before
-    # a lone fix 5 -> 3 makes 4 -> 1 clash one step round, at 5 -> 2;
-    # the fix 4 -> 1 made before the clash is undone
-    s.fwd[5], s.inv[3] = 3, 5
-    s.trail.append((5, 3))
-    before = snapshot(s)
-    assert not s._fix_cycle(4, 1)
+    s._fix_cycle(4, 1)
+    assert (s.fwd[4], s.fwd[5], s.fwd[6]) == (1, 2, 3)
+    s._undo(len(before[2]))
     assert snapshot(s) == before
 
 
 def test_propagate_cycle_identity_fixed_point():
-    # on the identity a fixed point is a whole cycle, and 1 is no one else's image
+    # on the identity a fixed point is a whole cycle
     s = search_state(Diagonal.identity(4))
-    assert s._fix_cycle(1, 1) and s.trail == [(1, 1)]
-    assert s.inv[1] == 1
-    assert not s._fix_cycle(2, 1)
+    s._fix_cycle(1, 1)
     assert s.trail == [(1, 1)]
+    assert s.inv[1] == 1
+    s._fix_cycle(2, 3)
+    assert s.trail == [(1, 1), (2, 3)]
 
 
 def test_propagate_cycle_preserves_partition():
     # fwd and inv stay a partial bijection of 1..n onto 1..n
     s = search_state(Diagonal(6, [(1, 2), (3, 4), (5,), (6,)]))
-    assert s._fix_cycle(1, 3)
-    assert (s.fwd[1], s.fwd[2]) == (3, 4)
-    fixed = [a for a in range(1, 7) if s.fwd[a]]
-    assert fixed == [1, 2]
-    assert sorted(s.inv[s.fwd[a]] for a in fixed) == fixed
-    assert sum(1 for b in s.inv if b) == len(fixed)
-    # with 4 already the image of 5, 1 -> 3 clashes one step round, at 2 -> 4,
-    # and the fix 1 -> 3 made before the clash is undone
-    s = search_state(Diagonal(6, [(1, 2), (3, 4), (5,), (6,)]))
-    s.fwd[5], s.inv[4] = 4, 5
-    s.trail.append((5, 4))
-    before = snapshot(s)
-    assert not s._fix_cycle(1, 3)
-    assert snapshot(s) == before
+    for x, y in ((1, 3), (5, 6)):
+        s._fix_cycle(x, y)
+        fixed = [a for a in range(1, 7) if s.fwd[a]]
+        assert sorted(s.inv[s.fwd[a]] for a in fixed) == fixed
+        assert sum(1 for b in s.inv if b) == len(fixed)
+    assert (s.fwd[1], s.fwd[2], s.fwd[5]) == (3, 4, 6)
+    assert [a for a in range(1, 7) if s.fwd[a]] == [1, 2, 5]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=6), st.randoms(use_true_random=False))
 def test_random_fix_chains_stay_consistent(n, rnd):
+    # the search's calls: an unmapped point onto a classmate that is no image yet
     d = diagonal_from_partition(rnd.choice(integer_partitions(n)))
     s = search_state(d)
     for _ in range(3):
@@ -171,10 +163,8 @@ def test_random_fix_chains_stay_consistent(n, rnd):
             break
         x = rnd.choice(unfixed)
         before = snapshot(s)
-        if s._fix_cycle(x, rnd.choice(s.classmates[x])):
-            assert len(s.trail) == len(before[2]) + d.cycle_len(x)
-        else:
-            assert snapshot(s) == before
+        s._fix_cycle(x, rnd.choice([y for y in s.classmates[x] if not s.inv[y]]))
+        assert len(s.trail) == len(before[2]) + d.cycle_len(x)
         # a partial bijection that commutes with the diagonal where defined
         fixed = [a for a in range(1, n + 1) if s.fwd[a]]
         assert sorted(s.inv[s.fwd[a]] for a in fixed) == fixed
