@@ -19,7 +19,7 @@ from .cycleset import (
     strictly_below,
 )
 from .encoding import Cnf, VarMap, decode_model, encode_axioms, exactly_one
-from .mincheck import CellLiteral, Minimal, MinCheckOutcome, Propagate, Unknown, Witness
+from .mincheck import Minimal, MinCheckOutcome, Propagate, Unknown, Witness
 from .oracle import brute_force_all, brute_force_diagonal, extensions, lex_min_reps, verify_database
 from .run import DiagStats, RunConfig, enumerate_diagonal, run_enumerate
 from .sat_mincheck import OracleInstance
@@ -46,7 +46,6 @@ __all__ = [
     "decode_model",
     "encode_axioms",
     "exactly_one",
-    "CellLiteral",
     "Minimal",
     "MinCheckOutcome",
     "Propagate",

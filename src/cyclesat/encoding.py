@@ -299,7 +299,7 @@ def lex_leader_family(diagonal: Diagonal) -> list[list[int]]:
         if len(cyc) >= 2:
             tau = list(range(n + 1))
             for x in cyc:
-                tau[x] = diagonal.successor(x)
+                tau[x] = diagonal.value(x)
             family.append(tau)
     return family
 

@@ -18,11 +18,7 @@ class ShapeMismatchError(Exception):
 
 
 class NotAWitnessError(Exception):
-    """Clause construction was asked for a permutation that is not a witness."""
-
-
-class NotPropagatingError(Exception):
-    """A propagation clause would not be unit under the inducing assignment."""
+    """A breaking clause was asked for a permutation that is not a witness."""
 
 
 class PropagatorContractViolation(Exception):

@@ -1,10 +1,13 @@
 """Breaking, propagation, and blocking clauses, plus ExactlyOne shortening.
 
-A witness permutation pi with strict cell c yields a breaking clause: to
-ever escape the bound again, either the image cell of some compared cell
-must take a larger value or the cell itself a smaller one.  All literals
-of that raw clause are positive matrix literals and all are false under
-the assignment that triggered the check, so the engine backtracks.
+A witness is its permutation pi: `breaking_clause` locates the strict cell
+c of pi(p) < p, the one place the witness is verified, and builds the
+clause that cuts off p: to ever escape the bound again, either the image
+cell of some compared cell must take a larger value or the cell itself a
+smaller one.  All literals of that raw clause are positive matrix literals
+and all are false under the assignment that triggered the check, so the
+engine backtracks.  A propagation clause is the breaking clause of p with
+the pinned value dropped from its cell.
 
 Shortening uses the two ExactlyOne families of the encoding (one value per
 cell, one occurrence per row and value): all-but-one positives of a group
@@ -24,25 +27,26 @@ from .cycleset import (
     strictly_below,
 )
 from .encoding import VarMap
-from .errors import EmptyDomainError, NotAWitnessError, NotPropagatingError
-from .mincheck import CellLiteral
+from .errors import NotAWitnessError
 
 Clause = list[int]
 
 
-def breaking_clause(p: PartialCycleSet, pi: Permutation, cell: Cell, varmap: VarMap) -> Clause:
+def breaking_clause(p: PartialCycleSet, pi: Permutation, varmap: VarMap) -> Clause:
     """The clause learned from a witness, before optimization.
 
-    One threshold per compared cell, its lower bound a = min P_cell: either
+    Raises NotAWitnessError unless pi(p) is strictly below p.  One
+    threshold per compared cell, its lower bound a = min P_cell: either
     the image cell takes pi(x) for some x above the threshold (x > a before
     the strict cell, x >= a at it) or the cell itself takes a value below
     it (x < a).  An assignment falsifying the whole clause therefore has
-    pi(M) <= M on every cell before `cell` and pi(M) < M there, so it is
-    not lexicographically minimal; and every literal is false under any
-    assignment inducing p, which forces the solver to move.
+    pi(M) <= M on every cell before the strict one and pi(M) < M there, so
+    it is not lexicographically minimal; and every literal is false under
+    any assignment inducing p, which forces the solver to move.
     """
-    if strictly_below(apply_permutation(pi, p), p) != cell:
-        raise NotAWitnessError(f"{pi} is not a witness at {cell}")
+    cell = strictly_below(apply_permutation(pi, p), p)
+    if cell is None:
+        raise NotAWitnessError(f"{pi} is not a witness")
     n = p.n
     lits: list[int] = []
     seen: set[int] = set()
@@ -138,42 +142,14 @@ def optimize_clause(clause: Clause, varmap: VarMap) -> Clause:
     return lits
 
 
-def propagation_clause(
-    p: PartialCycleSet,
-    pi: Permutation,
-    cell: Cell,
-    literal: CellLiteral,
-    varmap: VarMap,
-) -> Clause:
-    """Clause that is unit under the inducing assignment, propagating `literal`.
+def propagation_clause(p: PartialCycleSet, pi: Permutation, cell: Cell, value: int, varmap: VarMap) -> Clause:
+    """Clause propagating v(cell, value) under the inducing assignment.
 
-    Built as the breaking clause of p refined with the literal's negation;
-    raises NotPropagating when that refinement is not a witness situation or
-    the resulting clause is not unit on the literal.
+    The breaking clause of p with `value` dropped from `cell`.  Every
+    literal of it is false under that refinement, so under p all are false
+    but v(cell, value): the clause is unit on it, or falsified.
     """
-    target_var = varmap.matrix_var(literal.cell[0], literal.cell[1], literal.value)
-    if target_var is None:
-        raise NotPropagatingError(f"no variable for {literal}")
-    mask = p.domain(*literal.cell)
-    bit = 1 << (literal.value - 1)
-    if not mask & bit:
-        raise NotPropagatingError("literal value is not in the cell's domain")
-    try:
-        refined = p.with_domain(literal.cell, mask & ~bit)
-    except EmptyDomainError:
-        raise NotPropagatingError("cell is already pinned to the literal value") from None
-    strict = strictly_below(apply_permutation(pi, refined), refined)
-    if strict is None:
-        raise NotPropagatingError("negating the literal does not create a witness")
-    clause = breaking_clause(refined, pi, strict, varmap)
-    open_lits = []
-    for var in clause:
-        i, j, k = varmap.triple_of(var)
-        if p.domain(i, j) & (1 << (k - 1)):
-            open_lits.append(var)
-    if open_lits != [target_var]:
-        raise NotPropagatingError(f"clause is not unit on {literal}")
-    return clause
+    return breaking_clause(p.with_domain(cell, p.domain(*cell) & ~(1 << (value - 1))), pi, varmap)
 
 
 def blocking_clause(c: CycleSet, varmap: VarMap) -> Clause:
@@ -189,8 +165,5 @@ def blocking_clause(c: CycleSet, varmap: VarMap) -> Clause:
     for i in range(1, n + 1):
         cols = [j for j in range(1, n + 1) if j != i]
         for j in cols[:-1]:
-            var = varmap.matrix_var(i, j, c.entry(i, j))
-            if var is None:
-                raise NotAWitnessError(f"solution value has no variable at {(i, j)}")
-            lits.append(-var)
+            lits.append(-varmap.matrix_var(i, j, c.entry(i, j)))
     return lits

@@ -28,29 +28,25 @@ PARTIAL_NODE_LIMIT = 200
 
 
 @dataclass(frozen=True)
-class CellLiteral:
-    """A matrix literal at the domain level: cell takes a value."""
-
-    cell: Cell
-    value: int
-
-
-@dataclass(frozen=True)
 class Minimal:
     pass
 
 
 @dataclass(frozen=True)
 class Witness:
+    """pi(p) is strictly below p; `learning.breaking_clause` finds where."""
+
     perm: Permutation
-    cell: Cell
 
 
 @dataclass(frozen=True)
 class Propagate:
+    """Dropping `value` from `cell` turns `perm` into a witness, so the
+    cell must take it."""
+
     perm: Permutation
     cell: Cell
-    literal: CellLiteral
+    value: int
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,7 @@ class _Search:
             if amax > dmin:
                 return None
             if amax < dmin:
-                return Witness(self._completion(), (i, j))
+                return Witness(self._completion())
             if not self.complete:
                 out = self._try_propagate((i, j), (a, b), image_mask, dmask, dmin)
                 if out is not None:
@@ -220,24 +216,25 @@ class _Search:
         if dmask & (dmask - 1):
             refined = p.with_domain(cell, dmask & ~(1 << (dmin - 1)))
             if strictly_below(apply_permutation(pi, refined), refined) is not None:
-                return Propagate(pi, cell, CellLiteral(cell, dmin))
+                return Propagate(pi, cell, dmin)
         if image_mask & (image_mask - 1):
             inv = self.inv
             vstar = max(mask_values(image_mask), key=lambda v: inv[v])
             refined = p.with_domain(image_cell, image_mask & ~(1 << (vstar - 1)))
             if strictly_below(apply_permutation(pi, refined), refined) is not None:
-                return Propagate(pi, cell, CellLiteral(image_cell, vstar))
+                return Propagate(pi, image_cell, vstar)
         return None
 
 
 def check(p: PartialCycleSet, diagonal: Diagonal, *, complete: bool) -> MinCheckOutcome:
     """Minimality check by backtracking over the centralizer.
 
-    Returns Witness at the first strict cell, Propagate at a non-strict
-    boundary on an undefined cell (partial inputs only), Minimal after
-    exhausting the search, or, for a partial input only, Unknown once
-    PARTIAL_NODE_LIMIT nodes are spent.  A complete input always runs to
-    completion.
+    Returns Witness with the permutation completed at the first strict
+    cell (`learning.breaking_clause` locates that cell again), Propagate
+    with the pinned value at a non-strict boundary on an undefined cell
+    (partial inputs only), Minimal after exhausting the search, or, for a
+    partial input only, Unknown once PARTIAL_NODE_LIMIT nodes are spent.
+    A complete input always runs to completion.
     """
     if complete and not p.is_complete():
         raise ValueError("complete=True requires a fully defined cycle set")

@@ -24,7 +24,6 @@ from typing import Optional
 
 from .cycleset import CycleSet, PartialCycleSet, extract_partial
 from .encoding import Cnf, encode_axioms, decode_model, lex_leader_clauses
-from .errors import NotPropagatingError
 from .learning import blocking_clause, breaking_clause, optimize_clause, propagation_clause
 from .mincheck import Minimal, Propagate, Unknown, Witness
 from .mincheck import check as backtrack_check
@@ -135,7 +134,7 @@ class MinimalityHooks:
             self.solutions.append(c)
             return blocking_clause(c, self.varmap)
         assert isinstance(out, Witness)
-        clause = optimize_clause(breaking_clause(p, out.perm, out.cell, self.varmap), self.varmap)
+        clause = optimize_clause(breaking_clause(p, out.perm, self.varmap), self.varmap)
         st.outcomes["complete_witness"] += 1
         st.time["complete_nonminimal"] += time.perf_counter() - t0
         return clause
@@ -148,14 +147,11 @@ class MinimalityHooks:
         st.partial_checks += 1
         clause = None
         if isinstance(out, Witness):
-            clause = optimize_clause(breaking_clause(p, out.perm, out.cell, self.varmap), self.varmap)
+            clause = optimize_clause(breaking_clause(p, out.perm, self.varmap), self.varmap)
             st.outcomes["partial_witness"] += 1
         elif isinstance(out, Propagate):
-            try:
-                clause = propagation_clause(p, out.perm, out.cell, out.literal, self.varmap)
-                st.outcomes["partial_propagate"] += 1
-            except NotPropagatingError:
-                st.outcomes["partial_minimal"] += 1
+            clause = propagation_clause(p, out.perm, out.cell, out.value, self.varmap)
+            st.outcomes["partial_propagate"] += 1
         elif isinstance(out, Unknown):
             st.outcomes["partial_unknown"] += 1
         else:

@@ -21,7 +21,7 @@ model yields the witness permutation.
 
 from __future__ import annotations
 
-from .cycleset import PartialCycleSet, Permutation, apply_permutation, strictly_below
+from .cycleset import PartialCycleSet, Permutation
 from .encoding import exactly_one, VarAllocator
 from .errors import ShapeMismatchError
 from .mincheck import Minimal, MinCheckOutcome, Witness
@@ -85,7 +85,7 @@ class OracleInstance:
             rows = [p[(i, j)] for i in range(1, n + 1) if (i, j) in p]
             clauses.extend(exactly_one(rows, self.method, alloc))
         # mapping a point maps its whole cycle
-        succ = self.diagonal.successor
+        succ = self.diagonal.value
         for (i, j), var in p.items():
             clauses.append([-var, p[(succ(i), succ(j))]])
 
@@ -178,16 +178,13 @@ def check(p: PartialCycleSet, inst: OracleInstance) -> MinCheckOutcome:
     """Run one minimality query on a complete cycle set against a persistent
     oracle instance: one solve under the assumptions pinning `p`.
 
-    UNSAT means lexicographically minimal; SAT decodes the permutation layer
-    and locates the strict cell on the caller's side.
+    UNSAT means lexicographically minimal; SAT decodes the permutation
+    layer into the Witness, whose strict cell `learning.breaking_clause`
+    locates.
     """
     if not p.is_complete():
         raise ValueError("the oracle needs a fully defined cycle set")
     res = inst.solver.solve(inst.assumptions_for(p))
     if res.status == "unsat":
         return Minimal()
-    pi = inst.decode_permutation(res.model)
-    cell = strictly_below(apply_permutation(pi, p), p)
-    if cell is None:
-        raise RuntimeError("oracle produced a permutation that is not a witness")
-    return Witness(pi, cell)
+    return Witness(inst.decode_permutation(res.model))

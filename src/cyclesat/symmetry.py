@@ -62,7 +62,7 @@ class Diagonal:
     """A permutation of {1..n} in cycle form, fixing the matrix diagonal.
 
     `cycles` are disjoint, cover 1..n, and each is cyclically ordered;
-    `successor(x)` is the next element of x's cycle, i.e. the value the
+    `value(x)` is the next element of x's cycle, i.e. the value the
     permutation assigns to x.
     """
 
@@ -113,9 +113,6 @@ class Diagonal:
                 x = values[x - 1]
             cycles.append(tuple(cyc))
         return cls(n, cycles)
-
-    def successor(self, x: int) -> int:
-        return self._succ[x]
 
     def value(self, x: int) -> int:
         """Image of x, i.e. the matrix entry at cell (x, x)."""

@@ -67,13 +67,26 @@ def criterion(num, label):
     print(f"ACCEPTANCE {num} ({label}): PASS")
 
 
+ENGINE_KEYS = ("decisions", "conflicts", "propagations", "restarts", "learned")
+OUTCOME_KEYS = ("partial_witness", "partial_propagate", "partial_minimal", "partial_unknown", "complete_witness")
+
+
 @lru_cache(maxsize=None)
-def enumerate_lines(n, backend):
+def enumerate_run(n, backend):
+    """Sorted output lines of a full run, with its engine counters and
+    check outcomes summed over the diagonals (in ENGINE_KEYS and
+    OUTCOME_KEYS order)."""
     t0 = time.perf_counter()
-    sols, _ = run_enumerate(RunConfig(n=n, backend=backend))
+    sols, stats = run_enumerate(RunConfig(n=n, backend=backend))
     elapsed = time.perf_counter() - t0
     print(f"  [n={n} {backend}] {len(sols)} solutions in {elapsed:.1f}s")
-    return tuple(c.to_line() for c in sols)
+    engine = tuple(sum(st["engine"][k] for st in stats.values()) for k in ENGINE_KEYS)
+    outcomes = tuple(sum(st["outcomes"][k] for st in stats.values()) for k in OUTCOME_KEYS)
+    return tuple(c.to_line() for c in sols), (engine, outcomes)
+
+
+def enumerate_lines(n, backend):
+    return enumerate_run(n, backend)[0]
 
 
 def test_criterion_1_total_counts():
@@ -92,6 +105,24 @@ def test_sorted_output_bytes_pinned():
             for n, digest in OUTPUT_SHA256.items():
                 data = "".join(line + "\n" for line in enumerate_lines(n, backend)).encode()
                 assert hashlib.sha256(data).hexdigest() == digest, (backend, n)
+
+
+# (ENGINE_KEYS, OUTCOME_KEYS) totals of criterion 1's runs, labelling 0.
+# Like PINNED_N5_SEARCH in test_solver.py they pin the search, here on the
+# sizes where the partial check finds witnesses and propagations: a change
+# meant to leave the search alone must reproduce them exactly.
+PINNED_SEARCH = {
+    (6, "backtrack"): ((2327, 1895, 253327, 6, 1826), (1, 3, 31, 7, 31)),
+    (6, "incremental"): ((2321, 1898, 253463, 6, 1829), (2, 4, 29, 6, 33)),
+    (7, "backtrack"): ((16384, 12617, 2353759, 60, 12485), (19, 20, 218, 65, 190)),
+    (7, "incremental"): ((16386, 12666, 2355923, 60, 12532), (22, 22, 218, 60, 194)),
+}
+
+
+def test_search_pinned_n6_n7():
+    with criterion("1s", "search counters n=6 and n=7, both backends"):
+        for (n, backend), want in PINNED_SEARCH.items():
+            assert enumerate_run(n, backend)[1] == want, (n, backend)
 
 
 @pytest.mark.extended
@@ -258,18 +289,18 @@ def test_criterion_6_clause_soundness_1000_pairs():
             p = _random_partial(c, rnd)
             out = backtrack_check(p, d, complete=False)
             if isinstance(out, Witness):
-                clause = breaking_clause(p, out.perm, out.cell, vm)
+                clause = breaking_clause(p, out.perm, vm)
                 # falsified by the triggering assignment
                 for l in clause:
                     i, j, k = vm.triple_of(abs(l))
                     assert not (l > 0 and p.domain(i, j) & (1 << (k - 1)))
             elif isinstance(out, Propagate):
-                clause = propagation_clause(p, out.perm, out.cell, out.literal, vm)
+                clause = propagation_clause(p, out.perm, out.cell, out.value, vm)
                 open_lits = [
                     l for l in clause
                     if p.domain(*vm.triple_of(abs(l))[:2]) & (1 << (vm.triple_of(abs(l))[2] - 1))
                 ]
-                assert open_lits == [vm.matrix_var(*out.literal.cell, out.literal.value)]
+                assert open_lits == [vm.matrix_var(*out.cell, out.value)]
             else:
                 continue
             opt = optimize_clause(clause, vm)

@@ -168,8 +168,8 @@ def breaking_family(diag):
     for x in range(1, n + 1):
         if all(x not in c for c in cycles):  # the least element of its cycle
             cycle = [x]
-            while diag.successor(cycle[-1]) != x:
-                cycle.append(diag.successor(cycle[-1]))
+            while diag.value(cycle[-1]) != x:
+                cycle.append(diag.value(cycle[-1]))
             cycles.append(cycle)
     family = []
     for ca, cb in itertools.combinations(cycles, 2):
@@ -178,7 +178,7 @@ def breaking_family(diag):
             family.append(Permutation(swap.get(x, x) for x in range(1, n + 1)))
     for cyc in cycles:
         if len(cyc) > 1:
-            family.append(Permutation(diag.successor(x) if x in cyc else x for x in range(1, n + 1)))
+            family.append(Permutation(diag.value(x) if x in cyc else x for x in range(1, n + 1)))
     return family
 
 

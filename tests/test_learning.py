@@ -4,14 +4,14 @@ import pytest
 
 from cyclesat.cycleset import CycleSet
 from cyclesat.encoding import encode_axioms
-from cyclesat.errors import NotAWitnessError, NotPropagatingError
+from cyclesat.errors import NotAWitnessError
 from cyclesat.learning import (
     blocking_clause,
     breaking_clause,
     optimize_clause,
     propagation_clause,
 )
-from cyclesat.mincheck import CellLiteral, Propagate, Witness, check
+from cyclesat.mincheck import Propagate, Witness, check
 from cyclesat.oracle import brute_force_all, is_lex_min
 from cyclesat.symmetry import Diagonal, representative_diagonals
 from test_mincheck import complete_partial, random_partial
@@ -110,9 +110,9 @@ def test_breaking_clause_sound_and_falsified():
     for n in (3, 4):
         for diag, vm, minimal, p, out in collect_witness_cases(n, rnd, 60):
             if isinstance(out, Witness):
-                clause = breaking_clause(p, out.perm, out.cell, vm)
+                clause = breaking_clause(p, out.perm, vm)
             else:
-                clause = propagation_clause(p, out.perm, out.cell, out.literal, vm)
+                clause = propagation_clause(p, out.perm, out.cell, out.value, vm)
             opt = optimize_clause(clause, vm)
             if isinstance(out, Witness):
                 assert falsified_by_partial(clause, p, vm)
@@ -129,7 +129,7 @@ def test_breaking_clause_rejects_non_witness():
     from cyclesat.cycleset import Permutation
 
     with pytest.raises(NotAWitnessError):
-        breaking_clause(complete_partial(c), Permutation.identity(3), (1, 2), vm)
+        breaking_clause(complete_partial(c), Permutation.identity(3), vm)
 
 
 def test_propagation_clause_is_unit():
@@ -145,8 +145,8 @@ def test_propagation_clause_is_unit():
                     out = check(p, diag, complete=False)
                     if not isinstance(out, Propagate):
                         continue
-                    clause = propagation_clause(p, out.perm, out.cell, out.literal, vm)
-                    target = vm.matrix_var(out.literal.cell[0], out.literal.cell[1], out.literal.value)
+                    clause = propagation_clause(p, out.perm, out.cell, out.value, vm)
+                    target = vm.matrix_var(*out.cell, out.value)
                     open_lits = []
                     for l in clause:
                         i, j, k = vm.triple_of(abs(l))
@@ -155,17 +155,6 @@ def test_propagation_clause_is_unit():
                     assert open_lits == [target]
                     found += 1
     assert found > 10
-
-
-def test_propagation_clause_guards():
-    diag = Diagonal.identity(3)
-    vm = encode_axioms(3, diag).varmap
-    c = CycleSet.from_rows([[1, 3, 2], [3, 2, 1], [2, 1, 3]])
-    p = complete_partial(c)
-    from cyclesat.cycleset import Permutation
-
-    with pytest.raises(NotPropagatingError):
-        propagation_clause(p, Permutation.identity(3), (1, 2), CellLiteral((1, 2), 3), vm)
 
 
 def test_blocking_clause_excludes_exactly_one_solution():

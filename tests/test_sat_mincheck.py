@@ -50,9 +50,10 @@ def test_instance_reuse_is_sound():
                 assert apply_permutation(out.perm, c).entries < c.entries
 
 
-def test_minimal_after_recent_witnesses_fill():
+def test_minimal_after_witnesses_on_the_same_instance():
     # n=5 identity: relabelled representatives are non-minimal; after at
-    # least 8 witnesses the representatives must still be proven minimal
+    # least 8 witnesses, whose learned clauses the instance keeps, the
+    # representatives must still be proven minimal
     diag = Diagonal.identity(5)
     reps, _ = enumerate_diagonal(RunConfig(n=5, backend="backtrack"), diag)
     inst = OracleInstance(5, diag)

@@ -170,7 +170,7 @@ def test_random_fix_chains_stay_consistent(n, rnd):
         assert sorted(s.inv[s.fwd[a]] for a in fixed) == fixed
         assert sum(1 for b in s.inv if b) == len(fixed)
         for a in fixed:
-            assert s.fwd[d.successor(a)] == d.successor(s.fwd[a])
+            assert s.fwd[d.value(a)] == d.value(s.fwd[a])
         before = snapshot(s)
         assert fixes_diagonal(s._completion(), d)
         assert snapshot(s) == before
