@@ -131,6 +131,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.size < 1:
+        print(f"invalid size: {args.size} (must be at least 1)", file=sys.stderr)
+        return 2
     want_diag = None
     if args.diagonal:
         try:

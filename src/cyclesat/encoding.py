@@ -11,12 +11,14 @@ on the fixed diagonal, and the equation is written as direct clauses over
 matrix variables alone.
 
 Variable layout, in order: matrix variables (cells row-major, values
-ascending), then y variables, then auxiliaries from the ExactlyOne
-encodings.  With the default "binary" method only groups of 8 or more
-literals get auxiliaries, so up to n = 7 there are none; at n = 8 only the
-head groups y(i,j,k,.) have them.  "commander" adds them for groups of
-more than three.  Matrix variables coming first is what the solver's
-branching order relies on.
+ascending, numbered by `VarMap`), then the y variables `encode_axioms`
+allocates, then auxiliaries from the ExactlyOne encodings.  With the
+default "binary" method only groups of 8 or more literals get auxiliaries,
+so up to n = 7 there are none; at n = 8 only the head groups y(i,j,k,.)
+have them.  "commander" adds them for groups of more than three.  Matrix
+variables coming first is what the solver's branching order relies on; the
+incremental minimality check numbers its copy of the matrix by the same
+`VarMap`, and `matrix_literals` pins either instance to a cycle set.
 """
 
 from __future__ import annotations
@@ -105,15 +107,14 @@ def _exactly_one_commander(lits: list[int], alloc: VarAllocator, group: int = 3)
 
 
 class VarMap:
-    """Variable numbering for one (n, diagonal) instance: the matrix
-    variables v(i,j,k), then the head variables y(i,j,k,b) for i < j and
-    k not in {i, j}."""
+    """Numbering of the matrix variables v(i,j,k) of one (n, diagonal):
+    variables 1..num_matrix_vars, off-diagonal cells row-major, values
+    ascending, skipping each row's diagonal value."""
 
     def __init__(self, n: int, diagonal: Diagonal):
         self.n = n
         self.diagonal = diagonal
         self.diagonal_values = diagonal.values()
-        alloc = VarAllocator()
         self._matrix: dict[tuple[int, int, int], int] = {}
         self._cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for i in range(1, n + 1):
@@ -125,20 +126,11 @@ class VarMap:
                 for k in range(1, n + 1):
                     if k == ti:
                         continue
-                    var = alloc.fresh()
+                    var = len(self._matrix) + 1
                     self._matrix[(i, j, k)] = var
                     pairs.append((k, var))
                 self._cells[(i, j)] = pairs
-        self.num_matrix_vars = alloc.next_var - 1
-        self._y: dict[tuple[int, int, int, int], int] = {}
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(1, n + 1):
-                    if k == i or k == j:
-                        continue
-                    for b in range(1, n + 1):
-                        self._y[(i, j, k, b)] = alloc.fresh()
-        self.alloc = alloc
+        self.num_matrix_vars = len(self._matrix)
         self._triple = {var: t for t, var in self._matrix.items()}
 
     def matrix_var(self, i: int, j: int, k: int) -> Optional[int]:
@@ -152,19 +144,22 @@ class VarMap:
         """(column, variable) pairs for value k in row i."""
         return [(j, self._matrix[(i, j, k)]) for j in range(1, self.n + 1) if j != i]
 
-    def y_var(self, i: int, j: int, k: int, b: int) -> int:
-        return self._y[(i, j, k, b)]
-
     def triple_of(self, var: int) -> Optional[tuple[int, int, int]]:
         return self._triple.get(var)
-
-    @property
-    def num_vars(self) -> int:
-        return self.alloc.next_var - 1
 
     def sidecar_text(self) -> str:
         lines = [f"v {i} {j} {k} {var}" for (i, j, k), var in sorted(self._matrix.items())]
         return "\n".join(lines) + "\n"
+
+
+def matrix_literals(c: CycleSet, varmap: VarMap) -> list[int]:
+    """Literals pinning every matrix variable of `varmap` to the cycle set
+    `c`, in variable order: positive for the value c holds, negative for
+    the others."""
+    n = varmap.n
+    return [var if c.entry(i, j) == k else -var
+            for i in range(1, n + 1) for j in range(1, n + 1) if i != j
+            for k, var in varmap.cell_vars(i, j)]
 
 
 class Cnf:
@@ -181,8 +176,8 @@ class Cnf:
         return "\n".join(out) + "\n"
 
 
-def _cycloid_links(n: int, diag: tuple[int, ...], vm: VarMap, row: int, col_a: int, col_b: int, head_key: tuple[int, int, int]) -> Iterable[Clause]:
-    """Clauses forcing y(head_key, b) true when C[C[row,col_a], C[row,col_b]] = b,
+def _cycloid_links(n: int, diag: tuple[int, ...], vm: VarMap, row: int, col_a: int, col_b: int, heads: list[int]) -> Iterable[Clause]:
+    """Clauses forcing heads[b - 1] true when C[C[row,col_a], C[row,col_b]] = b,
     for a column col_b other than row and col_a.
 
     Then x = C[row,col_a] and y = C[row,col_b] differ, so the inner cell
@@ -202,9 +197,9 @@ def _cycloid_links(n: int, diag: tuple[int, ...], vm: VarMap, row: int, col_a: i
                     continue
                 inner = -vm.matrix_var(x, y, b)
                 if inner in lits:
-                    yield lits + [vm.y_var(*head_key, b)]
+                    yield lits + [heads[b - 1]]
                 else:
-                    yield lits + [inner, vm.y_var(*head_key, b)]
+                    yield lits + [inner, heads[b - 1]]
 
 
 def _diagonal_instances(diag: tuple[int, ...], vm: VarMap, i: int, j: int) -> Iterable[Clause]:
@@ -235,26 +230,35 @@ def encode_axioms(n: int, diagonal: Diagonal, method: str = "binary") -> Cnf:
     Clauses, in order: ExactlyOne per cell, ExactlyOne per row value, then
     per pair i < j the direct clauses of the instances k = i and k = j,
     followed by the head links and head ExactlyOne of every k not in
-    {i, j}."""
+    {i, j}.  The heads y(i,j,k,b) are numbered right after the matrix, in
+    that order of (i, j, k), then b ascending."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if diagonal.n != n:
         raise ValueError("diagonal size mismatch")
     vm = VarMap(n, diagonal)
     diag = vm.diagonal_values
+    alloc = VarAllocator(vm.num_matrix_vars + 1)
+    heads = {
+        (i, j, k): [alloc.fresh() for _ in range(n)]
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        for k in range(1, n + 1)
+        if k != i and k != j
+    }
     clauses: list[Clause] = []
 
     # each cell takes exactly one value
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if j != i:
-                clauses.extend(exactly_one([v for _, v in vm.cell_vars(i, j)], method, vm.alloc))
+                clauses.extend(exactly_one([v for _, v in vm.cell_vars(i, j)], method, alloc))
     # each value occurs exactly once per row (diagonal occurrences excluded)
     for i in range(1, n + 1):
         for k in range(1, n + 1):
             if k == diag[i - 1]:
                 continue
-            clauses.extend(exactly_one([v for _, v in vm.row_value_vars(i, k)], method, vm.alloc))
+            clauses.extend(exactly_one([v for _, v in vm.row_value_vars(i, k)], method, alloc))
     # cycloid equation per pair i < j: direct clauses where one side lies on
     # the diagonal, shared head variables for both sides everywhere else
     for i in range(1, n + 1):
@@ -263,13 +267,11 @@ def encode_axioms(n: int, diagonal: Diagonal, method: str = "binary") -> Cnf:
             for k in range(1, n + 1):
                 if k == i or k == j:
                     continue
-                key = (i, j, k)
-                clauses.extend(_cycloid_links(n, diag, vm, i, j, k, key))
-                clauses.extend(_cycloid_links(n, diag, vm, j, i, k, key))
-                clauses.extend(
-                    exactly_one([vm.y_var(i, j, k, b) for b in range(1, n + 1)], method, vm.alloc)
-                )
-    return Cnf(clauses, vm.num_vars, vm)
+                head = heads[(i, j, k)]
+                clauses.extend(_cycloid_links(n, diag, vm, i, j, k, head))
+                clauses.extend(_cycloid_links(n, diag, vm, j, i, k, head))
+                clauses.extend(exactly_one(head, method, alloc))
+    return Cnf(clauses, alloc.next_var - 1, vm)
 
 
 def lex_leader_family(diagonal: Diagonal) -> list[list[int]]:

@@ -13,10 +13,6 @@ class MalformedModelError(Exception):
     """A SAT model does not select exactly one value for some matrix cell."""
 
 
-class ShapeMismatchError(Exception):
-    """Size or diagonal of an argument does not match the receiving instance."""
-
-
 class NotAWitnessError(Exception):
     """A breaking clause was asked for a permutation that is not a witness."""
 

@@ -113,19 +113,17 @@ class MinimalityHooks:
         self.solutions: list[CycleSet] = []
         self._complete_oracle = None
         if config.backend == "incremental":
-            self._complete_oracle = OracleInstance(config.n, diagonal, config.eo_method)
-
-    def _check_complete(self, p: PartialCycleSet):
-        if self.config.backend == "backtrack":
-            return backtrack_check(p, self.diagonal, complete=True)
-        return oracle_check(p, self._complete_oracle)
+            self._complete_oracle = OracleInstance(diagonal, config.eo_method)
 
     def on_complete(self, model) -> list[int]:
         """Record a minimal model and block it, or break a non-minimal one."""
         t0 = time.perf_counter()
         c = decode_model(model, self.varmap)
         p = PartialCycleSet.from_cycle_set(c)
-        out = self._check_complete(p)
+        if self._complete_oracle is None:
+            out = backtrack_check(p, self.diagonal, complete=True)
+        else:
+            out = oracle_check(c, self._complete_oracle)
         st = self.stats
         st.complete_checks += 1
         if isinstance(out, Minimal):

@@ -230,12 +230,12 @@ def test_criterion_5_minimality_vs_exhaustive_centralizer():
                     if n == 5
                     else {c for c in brute_force_all(n) if c.diagonal_values() == d.values()}
                 )
-                inst = OracleInstance(n, d)
+                inst = OracleInstance(d)
                 for c in sorted(mats):
                     p = PartialCycleSet.from_cycle_set(c)
                     truth = is_lex_min(c, d)
                     bt = backtrack_check(p, d, complete=True)
-                    inc = oracle_check(p, inst)
+                    inc = oracle_check(c, inst)
                     assert isinstance(bt, Minimal) == truth, ("backtrack", n, d.label(), c.to_line())
                     assert isinstance(inc, Minimal) == truth, ("incremental", n, d.label(), c.to_line())
                     for out in (bt, inc):

@@ -353,6 +353,16 @@ def test_cli_verify_invalid_diagonal_exits_2(tmp_path, capsys):
         assert "invalid diagonal:" in capsys.readouterr().err
 
 
+def test_cli_verify_size_below_one_exits_2(tmp_path, capsys):
+    db = tmp_path / "n1.txt"
+    db.write_text("1\n")
+    for size in ("0", "-1"):
+        for path in (db, tmp_path / "missing.txt"):  # refused before the file is read
+            assert run_cli("verify", str(path), "--size", size) == 2
+            captured = capsys.readouterr()
+            assert "invalid size:" in captured.err and captured.out == ""
+
+
 def test_cli_invalid_config_exits_2(capsys, monkeypatch):
     _no_enumeration(monkeypatch)
     assert run_cli("enumerate", "--size", "1") == 2

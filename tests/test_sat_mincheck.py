@@ -1,32 +1,29 @@
 import itertools
 import random
 
-import pytest
-
 from cyclesat.cycleset import CycleSet, Permutation, apply_permutation
-from cyclesat.errors import ShapeMismatchError
+from cyclesat.encoding import encode_axioms
 from cyclesat.mincheck import Minimal, Witness
 from cyclesat.oracle import brute_force_all, is_lex_min
 from cyclesat.run import RunConfig, enumerate_diagonal
 from cyclesat.sat_mincheck import OracleInstance, check
 from cyclesat.symmetry import Diagonal, fixes_diagonal, representative_diagonals
-from test_mincheck import complete_partial
 
 
 def test_n2_identity_lexmin_is_unsat():
-    inst = OracleInstance(2, Diagonal.identity(2))
-    out = check(complete_partial(CycleSet.from_rows([[1, 2], [1, 2]])), inst)
+    inst = OracleInstance(Diagonal.identity(2))
+    out = check(CycleSet.from_rows([[1, 2], [1, 2]]), inst)
     assert isinstance(out, Minimal)
 
 
 def test_complete_kind_matches_ground_truth_small():
     for n in (2, 3, 4):
         for diag in representative_diagonals(n):
-            inst = OracleInstance(n, diag)
+            inst = OracleInstance(diag)
             for c in brute_force_all(n):
                 if c.diagonal_values() != diag.values():
                     continue
-                out = check(complete_partial(c), inst)
+                out = check(c, inst)
                 assert isinstance(out, Minimal) == is_lex_min(c, diag), c.to_line()
                 if isinstance(out, Witness):
                     assert fixes_diagonal(out.perm, diag)
@@ -38,12 +35,12 @@ def test_instance_reuse_is_sound():
     n = 4
     all_mats = brute_force_all(n)
     for diag in representative_diagonals(n):
-        inst = OracleInstance(n, diag)
+        inst = OracleInstance(diag)
         mats = [c for c in all_mats if c.diagonal_values() == diag.values()]
         seq = mats * 2
         rnd.shuffle(seq)
         for c in seq:
-            out = check(complete_partial(c), inst)
+            out = check(c, inst)
             assert isinstance(out, Minimal) == is_lex_min(c, diag), c.to_line()
             if isinstance(out, Witness):
                 assert fixes_diagonal(out.perm, diag)
@@ -56,7 +53,7 @@ def test_minimal_after_witnesses_on_the_same_instance():
     # representatives must still be proven minimal
     diag = Diagonal.identity(5)
     reps, _ = enumerate_diagonal(RunConfig(n=5, backend="backtrack"), diag)
-    inst = OracleInstance(5, diag)
+    inst = OracleInstance(diag)
     perms = [Permutation(list(t)) for t in itertools.permutations(range(1, 6))]
     rnd = random.Random(1)
     witnesses = 0
@@ -64,39 +61,23 @@ def test_minimal_after_witnesses_on_the_same_instance():
         for pi in rnd.sample(perms, 3):
             img = apply_permutation(pi, c)
             if not is_lex_min(img, diag):
-                assert isinstance(check(complete_partial(img), inst), Witness)
+                assert isinstance(check(img, inst), Witness)
                 witnesses += 1
         if witnesses >= 8:
             break
     assert witnesses >= 8
     for c in reps:
-        assert isinstance(check(complete_partial(c), inst), Minimal), c.to_line()
+        assert isinstance(check(c, inst), Minimal), c.to_line()
 
 
-def test_complete_check_rejects_partial_input():
-    # partial states go to the backtracking search; the oracle refuses them
-    from test_cycleset import paper_partial
-
-    inst = OracleInstance(3, Diagonal.parse("(1 2)", 3))
-    with pytest.raises(ValueError, match="fully defined"):
-        check(paper_partial(), inst)
-
-
-def test_assumption_layout():
-    n = 3
-    diag = Diagonal.parse("(1 2)", n)
-    inst = OracleInstance(n, diag)
-    c = CycleSet.from_rows([[2, 1, 3], [2, 1, 3], [1, 2, 3]])
-    asm = inst.assumptions_for(complete_partial(c))
-    positives = [l for l in asm if l > 0]
-    assert len(positives) == n * (n - 1)
-    assert len(asm) == n * (n - 1) * (n - 1)
-
-
-def test_shape_mismatch():
-    inst = OracleInstance(3, Diagonal.identity(3))
-    with pytest.raises(ShapeMismatchError):
-        inst.assumptions_for(complete_partial(CycleSet.from_rows([[1, 2], [1, 2]])))
-    wrong_diag = complete_partial(CycleSet.from_rows([[2, 1, 3], [2, 1, 3], [1, 2, 3]]))
-    with pytest.raises(ShapeMismatchError):
-        inst.assumptions_for(wrong_diag)
+def test_w_layer_is_the_axiom_matrix_numbering():
+    # one matrix_literals call pins the main solver and the oracle alike;
+    # the permutation layer is numbered right after the matrix
+    for n in range(2, 8):
+        for diag in representative_diagonals(n):
+            vm = encode_axioms(n, diag).varmap
+            inst = OracleInstance(diag)
+            triples = list(itertools.product(range(1, n + 1), repeat=3))
+            assert [inst.varmap.matrix_var(*t) for t in triples] == [vm.matrix_var(*t) for t in triples]
+            assert inst.varmap.num_matrix_vars == vm.num_matrix_vars, diag.label()
+            assert sorted(inst.p.values()) == list(range(vm.num_matrix_vars + 1, inst.num_static + 1))
