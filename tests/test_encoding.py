@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ from cyclesat.encoding import (VarAllocator, decode_model, encode_axioms, exactl
                                lex_leader_family, matrix_literals)
 from cyclesat.errors import MalformedModelError
 from cyclesat.oracle import brute_force_all, brute_force_diagonal, is_lex_min
+from cyclesat.sat_mincheck import OracleInstance
 from cyclesat.solver import PropagatorHooks, Solver
 from cyclesat.symmetry import Diagonal, fixes_diagonal, representative_diagonals
 
@@ -303,3 +305,46 @@ def test_decode_model_malformed():
     model[cnf.varmap.matrix_var(1, 2, 2)] = True
     model[cnf.varmap.matrix_var(2, 1, 1)] = True
     assert decode_model(model, cnf.varmap) == CycleSet.from_rows([[1, 2], [1, 2]])
+
+
+# sha256 over every representative diagonal of the size, in
+# `representative_diagonals` order, of the axiom DIMACS, the variable map,
+# the lex-leader clauses with their variable count, and the clauses the
+# incremental check's instance loads with its variable count.  A change to
+# how any of these instances is built must leave them byte-identical, or
+# say why they move.
+PINNED_CNF_DIGESTS = {
+    (2, "binary"): "2f0db124e3cceeeedcc90361d560f5a503aa1aeb7c834efc580cf6ed4f8b0029",
+    (2, "commander"): "2f0db124e3cceeeedcc90361d560f5a503aa1aeb7c834efc580cf6ed4f8b0029",
+    (3, "binary"): "e4ee16399f908389270bdff4ac7cabeb55d12e34fde8a59306385780725a0dce",
+    (3, "commander"): "e4ee16399f908389270bdff4ac7cabeb55d12e34fde8a59306385780725a0dce",
+    (4, "binary"): "beaa87d5dc7913ffdc917f3fa72b4f09e54fc717454fb270c54b92ef3d1ee9c4",
+    (4, "commander"): "ffc27fce90a832342bb3527c634cf100662e9e3d93e06556f4afe7d4f363b5c5",
+    (5, "binary"): "f10b48f21fff85967a5d0056efba4e84bbc65f4a5ea2eb7715244d91623c1d7a",
+    (5, "commander"): "0620e401b9d7dc4b934d9374949d6e5d2029d919eb67a9813c3dec44d51f1800",
+    (6, "binary"): "2a18e2d8538a3bc8b180d61785888adc0ae7fc21d11fd3a039e32e71cc1f5eb0",
+    (6, "commander"): "94a08ce100767efabbea17733daddc9f83afd3fab85036d64b03037fa527804e",
+}
+
+
+@pytest.mark.parametrize("n, method", sorted(PINNED_CNF_DIGESTS))
+def test_cnfs_are_pinned(n, method, monkeypatch):
+    loaded = []
+    add_cnf = Solver.add_cnf
+
+    def recording(self, clauses):
+        clauses = [list(cl) for cl in clauses]
+        loaded.append(clauses)
+        return add_cnf(self, clauses)
+
+    monkeypatch.setattr(Solver, "add_cnf", recording)
+    h = hashlib.sha256()
+    for diag in representative_diagonals(n):
+        cnf = encode_axioms(n, diag, method)
+        h.update(cnf.to_dimacs().encode())
+        h.update(cnf.varmap.sidecar_text().encode())
+        h.update(repr(lex_leader_clauses(cnf.varmap, cnf.num_vars + 1)).encode())
+        loaded.clear()
+        inst = OracleInstance(diag, method)
+        h.update(repr((loaded, inst.num_vars)).encode())
+    assert h.hexdigest() == PINNED_CNF_DIGESTS[(n, method)]
