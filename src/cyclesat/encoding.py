@@ -19,6 +19,12 @@ have them.  "commander" adds them for groups of more than three.  Matrix
 variables coming first is what the solver's branching order relies on; the
 incremental minimality check numbers its copy of the matrix by the same
 `VarMap`, and `matrix_literals` pins either instance to a cycle set.
+
+`VarMap` is the one place that knows the matrix's structure: its `cells`
+(the off-diagonal cells, row-major), its `groups` (the ExactlyOne families
+over the matrix, one value per cell and one occurrence per row value, in
+the order `encode_axioms` writes them) and `groups_of(var)`, a variable's
+two groups, which clause shortening reads.
 """
 
 from __future__ import annotations
@@ -107,31 +113,39 @@ def _exactly_one_commander(lits: list[int], alloc: VarAllocator, group: int = 3)
 
 
 class VarMap:
-    """Numbering of the matrix variables v(i,j,k) of one (n, diagonal):
-    variables 1..num_matrix_vars, off-diagonal cells row-major, values
-    ascending, skipping each row's diagonal value."""
+    """Numbering and structure of the matrix variables v(i,j,k) of one
+    (n, diagonal): variables 1..num_matrix_vars, off-diagonal cells
+    row-major, values ascending, skipping each row's diagonal value.
+
+    `cells` lists the off-diagonal cells in that order.  `groups` are the
+    ExactlyOne families over the matrix, in the order the axiom CNF writes
+    them: each cell's variables, then per row i and value k != diag(i) the
+    variables of k over the columns j != i.  `groups_of(var)` gives a
+    variable's cell group and its row-value group."""
 
     def __init__(self, n: int, diagonal: Diagonal):
         self.n = n
         self.diagonal = diagonal
-        self.diagonal_values = diagonal.values()
+        self.diagonal_values = diag = diagonal.values()
+        self.cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
         self._matrix: dict[tuple[int, int, int], int] = {}
         self._cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for i in range(1, n + 1):
-            ti = self.diagonal_values[i - 1]
-            for j in range(1, n + 1):
-                if j == i:
-                    continue
-                pairs = []
-                for k in range(1, n + 1):
-                    if k == ti:
-                        continue
+        for i, j in self.cells:
+            pairs = []
+            for k in range(1, n + 1):
+                if k != diag[i - 1]:
                     var = len(self._matrix) + 1
                     self._matrix[(i, j, k)] = var
                     pairs.append((k, var))
-                self._cells[(i, j)] = pairs
+            self._cells[(i, j)] = pairs
         self.num_matrix_vars = len(self._matrix)
         self._triple = {var: t for t, var in self._matrix.items()}
+        by_cell = {c: [var for _, var in pairs] for c, pairs in self._cells.items()}
+        by_row_value = {(i, k): [self._matrix[(i, j, k)] for j in range(1, n + 1) if j != i]
+                        for i in range(1, n + 1) for k in range(1, n + 1) if k != diag[i - 1]}
+        self.groups = [*by_cell.values(), *by_row_value.values()]
+        self._groups_of = {var: (by_cell[(i, j)], by_row_value[(i, k)])
+                           for (i, j, k), var in self._matrix.items()}
 
     def matrix_var(self, i: int, j: int, k: int) -> Optional[int]:
         return self._matrix.get((i, j, k))
@@ -140,9 +154,9 @@ class VarMap:
         """(value, variable) pairs for an off-diagonal cell."""
         return self._cells[(i, j)]
 
-    def row_value_vars(self, i: int, k: int) -> list[tuple[int, int]]:
-        """(column, variable) pairs for value k in row i."""
-        return [(j, self._matrix[(i, j, k)]) for j in range(1, self.n + 1) if j != i]
+    def groups_of(self, var: int) -> tuple[list[int], list[int]]:
+        """The cell group and the row-value group of a matrix variable."""
+        return self._groups_of[var]
 
     def triple_of(self, var: int) -> Optional[tuple[int, int, int]]:
         return self._triple.get(var)
@@ -156,16 +170,14 @@ def matrix_literals(c: CycleSet, varmap: VarMap) -> list[int]:
     """Literals pinning every matrix variable of `varmap` to the cycle set
     `c`, in variable order: positive for the value c holds, negative for
     the others."""
-    n = varmap.n
     return [var if c.entry(i, j) == k else -var
-            for i in range(1, n + 1) for j in range(1, n + 1) if i != j
-            for k, var in varmap.cell_vars(i, j)]
+            for i, j in varmap.cells for k, var in varmap.cell_vars(i, j)]
 
 
 class Cnf:
     """A clause list with its variable count and variable map."""
 
-    def __init__(self, clauses: list[Clause], num_vars: int, varmap: Optional[VarMap] = None):
+    def __init__(self, clauses: list[Clause], num_vars: int, varmap: VarMap):
         self.clauses = clauses
         self.num_vars = num_vars
         self.varmap = varmap
@@ -176,7 +188,7 @@ class Cnf:
         return "\n".join(out) + "\n"
 
 
-def _cycloid_links(n: int, diag: tuple[int, ...], vm: VarMap, row: int, col_a: int, col_b: int, heads: list[int]) -> Iterable[Clause]:
+def _cycloid_links(vm: VarMap, row: int, col_a: int, col_b: int, heads: list[int]) -> Iterable[Clause]:
     """Clauses forcing heads[b - 1] true when C[C[row,col_a], C[row,col_b]] = b,
     for a column col_b other than row and col_a.
 
@@ -186,6 +198,7 @@ def _cycloid_links(n: int, diag: tuple[int, ...], vm: VarMap, row: int, col_a: i
     repeated literal, which arises when the inner cell lies in `row`, is
     written once.
     """
+    n, diag = vm.n, vm.diagonal_values
     for x, var_a in vm.cell_vars(row, col_a):
         t_x = diag[x - 1]
         for y, var_b in vm.cell_vars(row, col_b):
@@ -202,7 +215,7 @@ def _cycloid_links(n: int, diag: tuple[int, ...], vm: VarMap, row: int, col_a: i
                     yield lits + [inner, heads[b - 1]]
 
 
-def _diagonal_instances(diag: tuple[int, ...], vm: VarMap, i: int, j: int) -> Iterable[Clause]:
+def _diagonal_instances(vm: VarMap, i: int, j: int) -> Iterable[Clause]:
     """The cycloid equation for the pair (i, j) with k = i and with k = j.
 
     With x = C[i,j] and y = C[j,i], k = i reads C[x, t_i] = C[y, y] = t_y
@@ -212,6 +225,7 @@ def _diagonal_instances(diag: tuple[int, ...], vm: VarMap, i: int, j: int) -> It
     instances are one binary clause.  A clause whose third literal is the
     negation of one of the first two holds on every matrix and is skipped.
     """
+    diag = vm.diagonal_values
     ti, tj = diag[i - 1], diag[j - 1]
     for x, vx in vm.cell_vars(i, j):
         for y, vy in vm.cell_vars(j, i):
@@ -237,7 +251,6 @@ def encode_axioms(n: int, diagonal: Diagonal, method: str = "binary") -> Cnf:
     if diagonal.n != n:
         raise ValueError("diagonal size mismatch")
     vm = VarMap(n, diagonal)
-    diag = vm.diagonal_values
     alloc = VarAllocator(vm.num_matrix_vars + 1)
     heads = {
         (i, j, k): [alloc.fresh() for _ in range(n)]
@@ -246,30 +259,20 @@ def encode_axioms(n: int, diagonal: Diagonal, method: str = "binary") -> Cnf:
         for k in range(1, n + 1)
         if k != i and k != j
     }
-    clauses: list[Clause] = []
-
-    # each cell takes exactly one value
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if j != i:
-                clauses.extend(exactly_one([v for _, v in vm.cell_vars(i, j)], method, alloc))
-    # each value occurs exactly once per row (diagonal occurrences excluded)
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            if k == diag[i - 1]:
-                continue
-            clauses.extend(exactly_one([v for _, v in vm.row_value_vars(i, k)], method, alloc))
+    # each cell takes exactly one value, each value occurs exactly once per
+    # row (diagonal occurrences excluded)
+    clauses = [cl for group in vm.groups for cl in exactly_one(group, method, alloc)]
     # cycloid equation per pair i < j: direct clauses where one side lies on
     # the diagonal, shared head variables for both sides everywhere else
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            clauses.extend(_diagonal_instances(diag, vm, i, j))
+            clauses.extend(_diagonal_instances(vm, i, j))
             for k in range(1, n + 1):
                 if k == i or k == j:
                     continue
                 head = heads[(i, j, k)]
-                clauses.extend(_cycloid_links(n, diag, vm, i, j, k, head))
-                clauses.extend(_cycloid_links(n, diag, vm, j, i, k, head))
+                clauses.extend(_cycloid_links(vm, i, j, k, head))
+                clauses.extend(_cycloid_links(vm, j, i, k, head))
                 clauses.extend(exactly_one(head, method, alloc))
     return Cnf(clauses, alloc.next_var - 1, vm)
 
@@ -334,7 +337,7 @@ def lex_leader_clauses(vm: VarMap, first_var: int) -> tuple[list[Clause], int]:
     n = vm.n
     alloc = VarAllocator(first_var)
     clauses: list[Clause] = []
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    cells = vm.cells
     for tau in lex_leader_family(vm.diagonal):
         inv = [0] * (n + 1)
         for x in range(1, n + 1):

@@ -9,10 +9,11 @@ and all are false under the assignment that triggered the check, so the
 engine backtracks.  A propagation clause is the breaking clause of p with
 the pinned value dropped from its cell.
 
-Shortening uses the two ExactlyOne families of the encoding (one value per
-cell, one occurrence per row and value): all-but-one positives of a group
-collapse into the negation of the missing member, and positives of a group
-are absorbed by a present negation of a sibling.
+Shortening reads a variable's two ExactlyOne groups from
+`VarMap.groups_of` (one value per cell, one occurrence per row and value):
+all-but-one positives of a group collapse into the negation of the missing
+member, and positives of a group are absorbed by a present negation of a
+sibling.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ def breaking_clause(p: PartialCycleSet, pi: Permutation, varmap: VarMap) -> Clau
     if cell is None:
         raise NotAWitnessError(f"{pi} is not a witness")
     n = p.n
+    cells = varmap.cells
     lits: list[int] = []
     seen: set[int] = set()
 
@@ -67,27 +69,12 @@ def breaking_clause(p: PartialCycleSet, pi: Permutation, varmap: VarMap) -> Clau
         for x in range(1, low):
             emit(i, j, x)
 
-    for prev in _cells_before(cell, n):
+    # pi commutes with the diagonal, so the strict cell is off it, and the
+    # diagonal cells before it map to diagonal cells, which carry no variable
+    for prev in cells[:cells.index(cell)]:
         bounds_for(prev, strict_cell=False)
     bounds_for(cell, strict_cell=True)
     return lits
-
-
-def _cells_before(cell: Cell, n: int):
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if (i, j) == cell:
-                return
-            yield (i, j)
-
-
-def _groups_of(var: int, varmap: VarMap):
-    triple = varmap.triple_of(var)
-    if triple is None:
-        return
-    i, j, k = triple
-    yield tuple(v for _, v in varmap.cell_vars(i, j))
-    yield tuple(v for _, v in varmap.row_value_vars(i, k))
 
 
 def optimize_clause(clause: Clause, varmap: VarMap) -> Clause:
@@ -108,7 +95,7 @@ def optimize_clause(clause: Clause, varmap: VarMap) -> Clause:
         pos = {l for l in lits if l > 0}
         # a negated member absorbs the other positives of its groups
         for l in [l for l in lits if l < 0]:
-            for group in _groups_of(-l, varmap):
+            for group in varmap.groups_of(-l):
                 drop = {v for v in group if v != -l and v in pos}
                 if drop:
                     lits = [x for x in lits if x not in drop]
@@ -119,7 +106,7 @@ def optimize_clause(clause: Clause, varmap: VarMap) -> Clause:
         for l in list(lits):
             if l < 0 or l not in pos:
                 continue
-            for group in _groups_of(l, varmap):
+            for group in varmap.groups_of(l):
                 missing = [v for v in group if v not in pos]
                 if len(missing) != 1:
                     continue
@@ -161,9 +148,5 @@ def blocking_clause(c: CycleSet, varmap: VarMap) -> Clause:
     where the diagonal determines everything.
     """
     n = c.n
-    lits: list[int] = []
-    for i in range(1, n + 1):
-        cols = [j for j in range(1, n + 1) if j != i]
-        for j in cols[:-1]:
-            lits.append(-varmap.matrix_var(i, j, c.entry(i, j)))
-    return lits
+    return [-varmap.matrix_var(i, j, c.entry(i, j)) for i, j in varmap.cells
+            if j != (n - 1 if i == n else n)]

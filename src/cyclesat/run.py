@@ -108,7 +108,6 @@ class MinimalityHooks:
     def __init__(self, cnf: Cnf, diagonal: Diagonal, config: RunConfig):
         self.varmap = cnf.varmap
         self.diagonal = diagonal
-        self.config = config
         self.stats = DiagStats(diagonal=diagonal.label())
         self.solutions: list[CycleSet] = []
         self._complete_oracle = None

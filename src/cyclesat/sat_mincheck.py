@@ -8,13 +8,15 @@ go to the backtracking search of `mincheck` on either backend.
 Layers: w encodes the checked matrix M and is the axiom CNF's matrix
 numbering (`encoding.VarMap`), so `encoding.matrix_literals` pins it; w2
 encodes its image M' under the searched permutation (p layer, restricted
-to same-cycle-length pairs and forced to commute with the diagonal), and
-im channels M[pi(i), pi(j)] = k' so the image linking stays quadratic
-instead of degree six.  Redundant ExactlyOne constraints (per cell and per
-row value) on the w2 layer prune, and a bit-lexicographic chain (cells
-row-major, values descending, so bit order matches the numeric order)
-forces M' < M.  There are none on w: the assumptions pin every w literal
-in both polarities, so they could only cost propagation.
+to same-cycle-length pairs and forced to commute with the diagonal), one
+variable per w variable, keyed by the matrix variable it copies; and im
+channels M[pi(i), pi(j)] = k' so the image linking stays quadratic
+instead of degree six.  Redundant ExactlyOne constraints (the
+`VarMap.groups` families, copied) on the w2 layer prune, and a
+bit-lexicographic chain (cells row-major, values descending, so bit order
+matches the numeric order) forces M' < M.  There are none on w: the
+assumptions pin every w literal in both polarities, so they could only
+cost propagation.
 
 Each check is one solve under those assumptions: UNSAT means minimal, a
 model yields the witness permutation.
@@ -56,7 +58,7 @@ class OracleInstance:
         n = vm.n
         alloc = VarAllocator(vm.num_matrix_vars + 1)
         clauses: list[list[int]] = []
-        offdiag = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        offdiag = vm.cells
         classes = {x: self.diagonal.cycle_len(x) for x in range(1, n + 1)}
         self.p = {
             (i, j): alloc.fresh()
@@ -65,7 +67,7 @@ class OracleInstance:
             if classes[i] == classes[j]
         }
         self.num_static = alloc.next_var - 1
-        w2 = {(i, j, k): alloc.fresh() for i, j in offdiag for k, _ in vm.cell_vars(i, j)}
+        w2 = {var: alloc.fresh() for var in range(1, vm.num_matrix_vars + 1)}
         im = {(i, j, k): alloc.fresh() for i, j in offdiag for k in range(1, n + 1)}
         p = self.p
 
@@ -100,24 +102,18 @@ class OracleInstance:
 
         # w2(c, k) <-> im(c, pi(k))
         for (i, j) in offdiag:
-            for k, _ in vm.cell_vars(i, j):
+            for k, var in vm.cell_vars(i, j):
                 for k2 in range(1, n + 1):
                     if (k, k2) not in p:
                         continue
-                    clauses.append([-p[(k, k2)], -im[(i, j, k2)], w2[(i, j, k)]])
-                    clauses.append([-p[(k, k2)], im[(i, j, k2)], -w2[(i, j, k)]])
+                    clauses.append([-p[(k, k2)], -im[(i, j, k2)], w2[var]])
+                    clauses.append([-p[(k, k2)], im[(i, j, k2)], -w2[var]])
 
         # on w2 only: the assumptions pin every w literal in both polarities
-        for i, j in offdiag:
-            clauses.extend(exactly_one([w2[(i, j, k)] for k, _ in vm.cell_vars(i, j)], self.method, alloc))
-        for i in range(1, n + 1):
-            for k in range(1, n + 1):
-                if k == vm.diagonal_values[i - 1]:
-                    continue
-                group = [w2[(i, j, k)] for j in range(1, n + 1) if j != i]
-                clauses.extend(exactly_one(group, self.method, alloc))
+        for g in vm.groups:
+            clauses.extend(exactly_one([w2[v] for v in g], self.method, alloc))
         # (w, w2) variable pairs in the chain's bit order
-        positions = [(var, w2[(i, j, k)]) for i, j in offdiag for k, var in reversed(vm.cell_vars(i, j))]
+        positions = [(var, w2[var]) for i, j in offdiag for _, var in reversed(vm.cell_vars(i, j))]
         self._build_chain(positions, alloc, clauses)
 
         self.num_vars = alloc.next_var - 1
