@@ -107,10 +107,11 @@ def _cmd_enumerate(args) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    # fail before a possibly hours-long enumeration, not after it
-    checks = [(args.out, _check_out_writable), (args.stats_out, _check_writable),
-              (config.trace_path, _check_writable)]
-    outputs = [(path, check) for path, check in checks if path not in (None, "-")]
+    # fail before a possibly hours-long enumeration, not after it; only
+    # --out reads "-" as stdout, the stats and the trace go to a file of
+    # that name
+    outputs = [(args.out, _check_out_writable)] if args.out != "-" else []
+    outputs += [(path, _check_writable) for path in (args.stats_out, config.trace_path) if path is not None]
     if config.dimacs_dir:
         outputs.append((config.dimacs_dir, _check_dir_writable))
     for path, check in outputs:

@@ -193,6 +193,7 @@ class Report:
     n: int
     entry_count: int = 0
     axiom_failures: list[int] = field(default_factory=list)  # line numbers
+    wrong_diagonal: list[int] = field(default_factory=list)  # another diagonal than the one required
     non_lex_min: list[int] = field(default_factory=list)
     duplicate_lines: list[int] = field(default_factory=list)
     missing_orbits: list[str] = field(default_factory=list)  # canonical lines
@@ -205,6 +206,7 @@ class Report:
     def clean(self) -> bool:
         return not (
             self.axiom_failures
+            or self.wrong_diagonal
             or self.non_lex_min
             or self.duplicate_lines
             or self.missing_orbits
@@ -216,6 +218,7 @@ class Report:
             "entries": self.entry_count,
             "clean": self.clean,
             "axiom_failures": self.axiom_failures,
+            "wrong_diagonal": self.wrong_diagonal,
             "non_lex_min": self.non_lex_min,
             "duplicate_lines": self.duplicate_lines,
             "missing_orbits": self.missing_orbits,
@@ -227,6 +230,7 @@ class Report:
         lines = [f"database check: n={self.n}, {self.entry_count} entries"]
         for label, items in (
             ("axiom failures", self.axiom_failures),
+            ("wrong-diagonal entries", self.wrong_diagonal),
             ("non-lex-min entries", self.non_lex_min),
             ("duplicate lines", self.duplicate_lines),
         ):
@@ -253,7 +257,7 @@ def verify_database(path: str, n: int, per_diagonal: Optional[Diagonal] = None) 
     brute-force reference missing from the file.  Reports per-diagonal
     counts and orbit sums, which `labelled_count` can check at any size.
     When `per_diagonal` is given, every entry must carry exactly that
-    diagonal.
+    diagonal; a cycle set with another one is a wrong-diagonal finding.
     """
     report = Report(n=n)
     entries: list[CycleSet] = []
@@ -287,7 +291,7 @@ def verify_database(path: str, n: int, per_diagonal: Optional[Diagonal] = None) 
                 continue
             diag = Diagonal.from_values(c.diagonal_values())
             if per_diagonal is not None and diag != per_diagonal:
-                report.axiom_failures.append(lineno)
+                report.wrong_diagonal.append(lineno)
                 continue
             label = diag.label()
             report.per_diagonal_counts[label] = report.per_diagonal_counts.get(label, 0) + 1

@@ -449,6 +449,17 @@ def test_cli_unwritable_stats_out_exits_2_and_keeps_out(tmp_path, capsys, monkey
     assert old.read_text() == "kept\n"
 
 
+def test_cli_unwritable_dash_stats_out_or_trace_exits_2(tmp_path, capsys, monkeypatch):
+    # only --out reads "-" as stdout; the stats and the trace would be
+    # written to a file named "-", here a directory
+    _no_enumeration(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-").mkdir()
+    for flag in ("--stats-out", "--trace"):
+        assert run_cli("enumerate", "--size", "3", flag, "-") == 2
+        assert "cannot write -: " in capsys.readouterr().err
+
+
 def test_cli_dimacs_dump_onto_a_file_exits_2(tmp_path, capsys, monkeypatch):
     _no_enumeration(monkeypatch)
     f = tmp_path / "f"
