@@ -6,17 +6,19 @@ cycle set, with learned clauses retained between checks.  Partial states
 go to the backtracking search of `mincheck` on either backend.
 
 Layers: w encodes the checked matrix M and is the axiom CNF's matrix
-numbering (`encoding.VarMap`), so `encoding.matrix_literals` pins it; w2
-encodes its image M' under the searched permutation (p layer, restricted
-to same-cycle-length pairs and forced to commute with the diagonal), one
-variable per w variable, keyed by the matrix variable it copies; and im
-channels M[pi(i), pi(j)] = k' so the image linking stays quadratic
-instead of degree six.  Redundant ExactlyOne constraints (the
-`VarMap.groups` families, copied) on the w2 layer prune, and a
-bit-lexicographic chain (cells row-major, values descending, so bit order
-matches the numeric order) forces M' < M.  There are none on w: the
-assumptions pin every w literal in both polarities, so they could only
-cost propagation.
+numbering (`encoding.VarMap`), so `encoding.matrix_literals` pins it; p,
+numbered next up to `num_static`, is the searched permutation, restricted
+to same-cycle-length pairs and forced to commute with the diagonal; w2
+encodes the image M', the copy of matrix variable v being `num_static +
+v`; and im(c, k') says the permuted source cell of c holds k', so the
+image linking stays quadratic instead of degree six.  The channels run
+one way: a pinned source value implies its im, and im(c, pi(k)) implies
+w2(c, k).  The per-cell ExactlyOne on w2 then rules out every other value,
+so w2 is exactly M' in every model; the row-value ExactlyOne (both
+`VarMap.groups` families, copied) prunes.  A bit-lexicographic chain
+(cells row-major, values descending, so bit order matches the numeric
+order) forces M' < M.  There is no ExactlyOne on w: the assumptions pin
+every w literal in both polarities.
 
 Each check is one solve under those assumptions: UNSAT means minimal, a
 model yields the witness permutation.
@@ -83,7 +85,7 @@ class OracleInstance:
         for (i, j), var in p.items():
             clauses.append([-var, p[(succ(i), succ(j))]])
 
-        # im(c, k') <-> the permuted source cell holds k'
+        # one way only: the pinned source cell's value implies its image ...
         for (i, j) in offdiag:
             for i2 in range(1, n + 1):
                 if (i, i2) not in p:
@@ -91,25 +93,18 @@ class OracleInstance:
                 for j2 in range(1, n + 1):
                     if j2 == i2 or (j, j2) not in p:
                         continue
-                    guard = [-p[(i, i2)], -p[(j, j2)]]
-                    for k2 in range(1, n + 1):
-                        src = vm.matrix_var(i2, j2, k2)
-                        if src is None:
-                            clauses.append(guard + [-im[(i, j, k2)]])
-                        else:
-                            clauses.append(guard + [-src, im[(i, j, k2)]])
-                            clauses.append(guard + [src, -im[(i, j, k2)]])
-
-        # w2(c, k) <-> im(c, pi(k))
+                    for k2, src in vm.cell_vars(i2, j2):
+                        clauses.append([-p[(i, i2)], -p[(j, j2)], -src, im[(i, j, k2)]])
+        # ... which implies w2(c, k) for k = pi^-1(k'); w2's per-cell
+        # ExactlyOne rules out every other value
         for (i, j) in offdiag:
             for k, var in vm.cell_vars(i, j):
                 for k2 in range(1, n + 1):
-                    if (k, k2) not in p:
-                        continue
-                    clauses.append([-p[(k, k2)], -im[(i, j, k2)], w2[var]])
-                    clauses.append([-p[(k, k2)], im[(i, j, k2)], -w2[var]])
+                    if (k, k2) in p:
+                        clauses.append([-p[(k, k2)], -im[(i, j, k2)], w2[var]])
 
-        # on w2 only: the assumptions pin every w literal in both polarities
+        # on w2 only: the cell families make w2 the image, the row-value
+        # families prune; w is pinned in both polarities by the assumptions
         for g in vm.groups:
             clauses.extend(exactly_one([w2[v] for v in g], self.method, alloc))
         # (w, w2) variable pairs in the chain's bit order

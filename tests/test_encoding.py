@@ -314,16 +314,16 @@ def test_decode_model_malformed():
 # how any of these instances is built must leave them byte-identical, or
 # say why they move.
 PINNED_CNF_DIGESTS = {
-    (2, "binary"): "2f0db124e3cceeeedcc90361d560f5a503aa1aeb7c834efc580cf6ed4f8b0029",
-    (2, "commander"): "2f0db124e3cceeeedcc90361d560f5a503aa1aeb7c834efc580cf6ed4f8b0029",
-    (3, "binary"): "e4ee16399f908389270bdff4ac7cabeb55d12e34fde8a59306385780725a0dce",
-    (3, "commander"): "e4ee16399f908389270bdff4ac7cabeb55d12e34fde8a59306385780725a0dce",
-    (4, "binary"): "beaa87d5dc7913ffdc917f3fa72b4f09e54fc717454fb270c54b92ef3d1ee9c4",
-    (4, "commander"): "ffc27fce90a832342bb3527c634cf100662e9e3d93e06556f4afe7d4f363b5c5",
-    (5, "binary"): "f10b48f21fff85967a5d0056efba4e84bbc65f4a5ea2eb7715244d91623c1d7a",
-    (5, "commander"): "0620e401b9d7dc4b934d9374949d6e5d2029d919eb67a9813c3dec44d51f1800",
-    (6, "binary"): "2a18e2d8538a3bc8b180d61785888adc0ae7fc21d11fd3a039e32e71cc1f5eb0",
-    (6, "commander"): "94a08ce100767efabbea17733daddc9f83afd3fab85036d64b03037fa527804e",
+    (2, "binary"): "cee7ec21148c12f8fe153ad859bafe9d96e7a6684e9cda21eb6951872ea77ebb",
+    (2, "commander"): "cee7ec21148c12f8fe153ad859bafe9d96e7a6684e9cda21eb6951872ea77ebb",
+    (3, "binary"): "685f0507da8a1a5d36cbd0ab9f81ddce3cfa814243a74ce58d37d51a721976f8",
+    (3, "commander"): "685f0507da8a1a5d36cbd0ab9f81ddce3cfa814243a74ce58d37d51a721976f8",
+    (4, "binary"): "367639ed69fd9d1f6a268f98813102d62f9b971ee124d603d9d757a187c3a3c8",
+    (4, "commander"): "5b2c5d4329893073f93d36ec4d0cfc72182bfddb7f56ce94c4f18d19f79b9238",
+    (5, "binary"): "1cfd2bd04461a59530da8c9ad8c375ccff9cf3dbc74d97c1ca6593e23a2b35bb",
+    (5, "commander"): "1b9fa3529b49dfcae559f30f94e819fb1927412008367ca9008723a86cdd82a0",
+    (6, "binary"): "d1a5f1b45c29c0ee569984b517e95dcd56a726d4cb9ee8c4b69b546343d86319",
+    (6, "commander"): "2663a5eb2257d401b20d39aa3e14b6a1b83c205a5bd29920f47b3f0f258f3f5d",
 }
 
 

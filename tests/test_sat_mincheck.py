@@ -1,8 +1,10 @@
 import itertools
 import random
 
+import pytest
+
 from cyclesat.cycleset import CycleSet, Permutation, apply_permutation
-from cyclesat.encoding import encode_axioms
+from cyclesat.encoding import encode_axioms, matrix_literals
 from cyclesat.mincheck import Minimal, Witness
 from cyclesat.oracle import brute_force_all, is_lex_min
 from cyclesat.run import RunConfig, enumerate_diagonal
@@ -81,3 +83,25 @@ def test_w_layer_is_the_axiom_matrix_numbering():
             assert [inst.varmap.matrix_var(*t) for t in triples] == [vm.matrix_var(*t) for t in triples]
             assert inst.varmap.num_matrix_vars == vm.num_matrix_vars, diag.label()
             assert sorted(inst.p.values()) == list(range(vm.num_matrix_vars + 1, inst.num_static + 1))
+
+
+@pytest.mark.parametrize("method", ["binary", "commander"])
+def test_w2_layer_is_the_image_in_every_model(method):
+    # the channels run one way only, so w2 is the image because its per-cell
+    # ExactlyOne excludes every other value: a model's w2 layer (the copy of
+    # matrix variable v is num_static + v) must pin exactly pi(c)
+    for n in (2, 3, 4):
+        all_mats = brute_force_all(n)
+        for diag in representative_diagonals(n):
+            inst = OracleInstance(diag, method)
+            vm = inst.varmap
+            for c in all_mats:
+                if c.diagonal_values() != diag.values():
+                    continue
+                res = inst.solver.solve(matrix_literals(c, vm))
+                assert (res.status == "unsat") == is_lex_min(c, diag), c.to_line()
+                if res.status == "unsat":
+                    continue
+                pi = inst.decode_permutation(res.model)
+                w2 = [v if res.model[inst.num_static + v] else -v for v in range(1, vm.num_matrix_vars + 1)]
+                assert w2 == matrix_literals(apply_permutation(pi, c), vm), c.to_line()

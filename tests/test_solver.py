@@ -308,13 +308,13 @@ PINNED_N5_SEARCH = {
         "id": (84, 76, 5880, 0, 73),
     },
     "incremental": {
-        "(1 2 3 4 5)": (15, 16, 803, 0, 11, (5, 1441)),
-        "(1 2 3 4)": (35, 31, 1909, 0, 23, (39, 9731)),
-        "(1 2 3)(4 5)": (20, 19, 1306, 0, 14, (35, 7377)),
-        "(1 2 3)": (26, 25, 1552, 0, 19, (44, 9200)),
-        "(1 2)(3 4)": (57, 43, 2957, 0, 39, (97, 17562)),
-        "(1 2)": (57, 45, 4234, 0, 42, (105, 17919)),
-        "id": (84, 76, 5880, 0, 73, (226, 27157)),
+        "(1 2 3 4 5)": (15, 16, 803, 0, 11, (5, 1341)),
+        "(1 2 3 4)": (35, 31, 1909, 0, 23, (39, 9014)),
+        "(1 2 3)(4 5)": (20, 19, 1306, 0, 14, (35, 6949)),
+        "(1 2 3)": (26, 25, 1552, 0, 19, (44, 8565)),
+        "(1 2)(3 4)": (57, 43, 2957, 0, 39, (64, 10394)),
+        "(1 2)": (57, 45, 4234, 0, 42, (107, 16489)),
+        "id": (84, 76, 5890, 0, 73, (371, 26970)),
     },
 }
 
