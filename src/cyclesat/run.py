@@ -298,12 +298,20 @@ def write_stats(stats: dict, path: str):
 
 
 def render_stats_table(stats: dict) -> str:
-    """Per-diagonal table mirroring the four check-time categories."""
+    """Per-diagonal table mirroring the four check-time categories.
+
+    When any diagonal carries `complete_oracle` (the incremental backend),
+    two more columns give the oracle's conflicts and propagations per
+    complete check, each check being one solve.
+    """
     header = [
         "diagonal", "#sols", "time(s)", "%total",
         "#partial", "p-nonmin%", "p-noconc%",
         "#complete", "c-nonmin%", "c-min%", "mincheck%",
     ]
+    per_check = any(st.get("complete_oracle") for st in stats.values())
+    if per_check:
+        header += ["o-confl/chk", "o-props/chk"]
     total_time = sum(st["total_time"] for st in stats.values()) or 1.0
     rows = []
     for label in sorted(stats, key=lambda s: (len(s), s)):
@@ -324,6 +332,10 @@ def render_stats_table(stats: dict) -> str:
             f"{100.0 * tm['complete_minimal'] / t:.2f}",
             f"{100.0 * mc / t:.2f}",
         ])
+        if per_check:
+            oracle, checks = st.get("complete_oracle"), st["complete_checks"]
+            rows[-1] += ([f"{oracle['conflicts'] / checks:.2f}", f"{oracle['propagations'] / checks:.1f}"]
+                         if oracle and checks else ["-", "-"])
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i]) for i in range(len(header))]
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
     for r in rows:

@@ -525,3 +525,21 @@ def test_console_entry_point():
 
 def test_render_stats_table_empty():
     assert render_stats_table({}).startswith("diagonal")
+
+
+def test_render_stats_table_oracle_columns_per_complete_check():
+    _, stats = run_enumerate(RunConfig(n=4, backend="backtrack"))
+    header, *rows = render_stats_table(stats).splitlines()
+    assert header.split() == ["diagonal", "#sols", "time(s)", "%total", "#partial", "p-nonmin%", "p-noconc%",
+                              "#complete", "c-nonmin%", "c-min%", "mincheck%"]
+    _, stats = run_enumerate(RunConfig(n=4, backend="incremental"))
+    header, *rows = render_stats_table(stats).splitlines()
+    assert header.split()[-2:] == ["o-confl/chk", "o-props/chk"]
+    assert len(rows) == len(stats)
+    for row in rows:
+        cols = row.split()
+        st = stats[" ".join(cols[:-12])]
+        confl, props = cols[-2:]
+        checks = st["complete_checks"]
+        assert confl == f"{st['complete_oracle']['conflicts'] / checks:.2f}"
+        assert props == f"{st['complete_oracle']['propagations'] / checks:.1f}"
