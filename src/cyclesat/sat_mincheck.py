@@ -15,10 +15,10 @@ image linking stays quadratic instead of degree six.  The channels run
 one way: a pinned source value implies its im, and im(c, pi(k)) implies
 w2(c, k).  The per-cell ExactlyOne on w2 then rules out every other value,
 so w2 is exactly M' in every model; the row-value ExactlyOne (both
-`VarMap.groups` families, copied) prunes.  A bit-lexicographic chain
-(cells row-major, values descending, so bit order matches the numeric
-order) forces M' < M.  There is no ExactlyOne on w: the assumptions pin
-every w literal in both polarities.
+`VarMap.groups` families are copied) prunes the witness search.  A
+bit-lexicographic chain (cells row-major, values descending, so bit order
+matches the numeric order) forces M' < M.  There is no ExactlyOne on w:
+the assumptions pin every w literal in both polarities.
 
 Each check is one solve under those assumptions: UNSAT means minimal, a
 model yields the witness permutation.
