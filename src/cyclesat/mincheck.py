@@ -126,11 +126,13 @@ class _Search:
         self._undo(mark)
         return pi
 
-    def run(self) -> MinCheckOutcome:
+    def run(self, nodes: Optional[dict] = None) -> MinCheckOutcome:
         try:
             out = self._dfs(0)
         except _BudgetExhausted:
-            return Unknown()
+            out = Unknown()
+        if nodes is not None:
+            nodes["complete" if self.complete else "partial"] += self.nodes
         return out if out is not None else Minimal()
 
     def _dfs(self, idx: int) -> Optional[MinCheckOutcome]:
@@ -226,7 +228,8 @@ class _Search:
         return None
 
 
-def check(p: PartialCycleSet, diagonal: Diagonal, *, complete: bool) -> MinCheckOutcome:
+def check(p: PartialCycleSet, diagonal: Diagonal, *, complete: bool,
+          nodes: Optional[dict] = None) -> MinCheckOutcome:
     """Minimality check by backtracking over the centralizer.
 
     Returns Witness with the permutation completed at the first strict
@@ -235,6 +238,11 @@ def check(p: PartialCycleSet, diagonal: Diagonal, *, complete: bool) -> MinCheck
     (partial inputs only), Minimal after exhausting the search, or, for a
     partial input only, Unknown once PARTIAL_NODE_LIMIT nodes are spent.
     A complete input always runs to completion.
+
+    When `nodes` is given, the search adds the nodes it spent to its
+    "complete" or "partial" entry, by the kind of check.  A node is one
+    fixed cycle, and a partial check that runs out of budget counts the
+    node over the limit as well.
     """
     if complete and not p.is_complete():
         raise ValueError("complete=True requires a fully defined cycle set")
@@ -243,4 +251,4 @@ def check(p: PartialCycleSet, diagonal: Diagonal, *, complete: bool) -> MinCheck
     for x in range(1, p.n + 1):
         if p.domain(x, x) != 1 << (diagonal.value(x) - 1):
             raise ValueError("partial cycle set disagrees with the diagonal")
-    return _Search(p, diagonal, complete, None if complete else PARTIAL_NODE_LIMIT).run()
+    return _Search(p, diagonal, complete, None if complete else PARTIAL_NODE_LIMIT).run(nodes)

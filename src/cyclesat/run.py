@@ -85,6 +85,8 @@ class DiagStats:
         "complete_minimal": 0.0,
     })
     total_time: float = 0.0
+    # nodes of the backtracking search, summed over its checks of each kind
+    check_nodes: dict = field(default_factory=lambda: {"partial": 0, "complete": 0})
     engine: dict = field(default_factory=dict)
     # the solver's variables (lex-leader chain variables included), the
     # axiom clauses, and the lex-leader clauses loaded beside them
@@ -119,11 +121,11 @@ class MinimalityHooks:
         t0 = time.perf_counter()
         c = decode_model(model, self.varmap)
         p = PartialCycleSet.from_cycle_set(c)
+        st = self.stats
         if self._complete_oracle is None:
-            out = backtrack_check(p, self.diagonal, complete=True)
+            out = backtrack_check(p, self.diagonal, complete=True, nodes=st.check_nodes)
         else:
             out = oracle_check(c, self._complete_oracle)
-        st = self.stats
         st.complete_checks += 1
         if isinstance(out, Minimal):
             st.outcomes["complete_minimal"] += 1
@@ -139,8 +141,8 @@ class MinimalityHooks:
     def on_partial(self, view) -> Optional[list[int]]:
         t0 = time.perf_counter()
         p = extract_partial(view, self.varmap)
-        out = backtrack_check(p, self.diagonal, complete=False)
         st = self.stats
+        out = backtrack_check(p, self.diagonal, complete=False, nodes=st.check_nodes)
         st.partial_checks += 1
         clause = None
         if isinstance(out, Witness):

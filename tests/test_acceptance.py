@@ -75,14 +75,16 @@ OUTCOME_KEYS = ("partial_witness", "partial_propagate", "partial_minimal", "part
 def enumerate_run(n, backend):
     """Sorted output lines of a full run, with its engine counters and
     check outcomes summed over the diagonals (in ENGINE_KEYS and
-    OUTCOME_KEYS order)."""
+    OUTCOME_KEYS order), and the backtracking search's nodes summed over
+    the diagonals, (complete, partial)."""
     t0 = time.perf_counter()
     sols, stats = run_enumerate(RunConfig(n=n, backend=backend))
     elapsed = time.perf_counter() - t0
     print(f"  [n={n} {backend}] {len(sols)} solutions in {elapsed:.1f}s")
     engine = tuple(sum(st["engine"][k] for st in stats.values()) for k in ENGINE_KEYS)
     outcomes = tuple(sum(st["outcomes"][k] for st in stats.values()) for k in OUTCOME_KEYS)
-    return tuple(c.to_line() for c in sols), (engine, outcomes)
+    nodes = tuple(sum(st["check_nodes"][k] for st in stats.values()) for k in ("complete", "partial"))
+    return tuple(c.to_line() for c in sols), (engine, outcomes), nodes
 
 
 def enumerate_lines(n, backend):
@@ -123,6 +125,25 @@ def test_search_pinned_n6_n7():
     with criterion("1s", "search counters n=6 and n=7, both backends"):
         for (n, backend), want in PINNED_SEARCH.items():
             assert enumerate_run(n, backend)[1] == want, (n, backend)
+
+
+# (complete, partial) nodes of the backtracking search in criterion 1's
+# runs, labelling 0; the incremental backend sends it partial states only.
+# A change to the search that keeps its branching order must reproduce them.
+PINNED_CHECK_NODES = {
+    (5, "backtrack"): (4325, 122),
+    (5, "incremental"): (0, 122),
+    (6, "backtrack"): (75328, 2609),
+    (6, "incremental"): (0, 2271),
+    (7, "backtrack"): (1664252, 21926),
+    (7, "incremental"): (0, 21542),
+}
+
+
+def test_check_nodes_pinned():
+    with criterion("1n", "backtracking-search nodes n=5..7, both backends"):
+        for (n, backend), want in PINNED_CHECK_NODES.items():
+            assert enumerate_run(n, backend)[2] == want, (n, backend)
 
 
 @pytest.mark.extended
