@@ -10,7 +10,9 @@ the first non-strict boundary on an undefined cell (a propagation).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 from .cycleset import (
@@ -61,171 +63,224 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _Search:
-    """Mutable fix/undo search state; equivalent to refining the initial
-    ordered partition, but without per-node copying."""
+class _Tables:
+    """What the search reads of one diagonal, built once per diagonal.
 
-    def __init__(self, p: PartialCycleSet, diag: Diagonal, complete: bool, max_nodes: Optional[int]):
-        self.p = p
-        self.diag = diag
-        self.complete = complete
-        self.max_nodes = max_nodes
-        self.nodes = 0
-        n = p.n
+    `cycle[x]` is x's cycle read from x, so fixing pi(x) = y maps
+    `cycle[x]` onto `cycle[y]` point by point; `classmates[x]` are the
+    points of x's cycle length, ascending (only same-length cycles map
+    onto each other); `cells` are the off-diagonal cells (i, j, flat
+    index), row-major; `row_base[a] + b` is the flat index of cell (a, b).
+    """
+
+    __slots__ = ("n", "cycle", "classmates", "cells", "row_base")
+
+    def __init__(self, diagonal: Diagonal):
+        n = diagonal.n
         self.n = n
-        self.cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-        self.fwd = [0] * (n + 1)
-        self.inv = [0] * (n + 1)
-        self.trail: list[tuple[int, int]] = []
-        # only same-length cycles can map onto each other
-        self.classmates = [
-            sorted(y for y in range(1, n + 1) if diag.cycle_len(y) == diag.cycle_len(x))
-            for x in range(n + 1)
+        self.cycle = [()] * (n + 1)
+        for cyc in diagonal.cycles:
+            for t, x in enumerate(cyc):
+                self.cycle[x] = cyc[t:] + cyc[:t]
+        self.classmates = [[]] + [
+            [y for y in range(1, n + 1) if len(self.cycle[y]) == len(self.cycle[x])]
+            for x in range(1, n + 1)
         ]
-        self.domains = p.domains
+        self.cells = [(i, j, (i - 1) * n + j - 1)
+                      for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        self.row_base = [(a - 1) * n - 1 for a in range(n + 1)]
 
-    def _node(self):
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _BudgetExhausted
 
-    def _fix_cycle(self, x: int, y: int):
-        """Fix pi(x) = y and the rest of x's cycle onto y's.
+@lru_cache(maxsize=64)
+def _tables(diagonal: Diagonal) -> _Tables:
+    return _Tables(diagonal)
 
-        Callers pass an unmapped x and a y that is no image yet, of a cycle
-        of the same length.  A cycle is only ever fixed whole, and `_undo`
-        removes it whole, so the mapped points and their images are always
-        unions of whole cycles: all of x's cycle is unmapped, all of y's is
-        free, and no step can clash.
-        """
-        succ = self.diag._succ
-        fwd, inv, trail = self.fwd, self.inv, self.trail
-        a, b = x, y
-        for _ in range(self.diag.cycle_len(x)):
-            fwd[a] = b
-            inv[b] = a
-            trail.append((a, b))
-            a = succ[a]
-            b = succ[b]
 
-    def _undo(self, mark: int):
-        fwd, inv, trail = self.fwd, self.inv, self.trail
-        while len(trail) > mark:
-            a, b = trail.pop()
-            fwd[a] = 0
-            inv[b] = 0
+def _completion(t: _Tables, fwd: list[int], inv: list[int]) -> Permutation:
+    """Greedy diagonal-respecting completion of the fixes in `fwd`/`inv`:
+    each unmapped point, ascending, goes with its cycle onto the first
+    free point of its class."""
+    img, used = fwd[:], inv[:]
+    for x in range(1, t.n + 1):
+        if not img[x]:
+            y = next(y for y in t.classmates[x] if not used[y])
+            for a, b in zip(t.cycle[x], t.cycle[y]):
+                img[a] = b
+                used[b] = a
+    return Permutation(img[1:])
 
-    def _completion(self) -> Permutation:
-        """Greedy diagonal-respecting completion of the current fixes."""
-        mark = len(self.trail)
-        fwd, inv = self.fwd, self.inv
-        for x in range(1, self.n + 1):
-            if not fwd[x]:
-                self._fix_cycle(x, next(y for y in self.classmates[x] if not inv[y]))
-        pi = Permutation(fwd[1:])
-        self._undo(mark)
-        return pi
 
-    def run(self, nodes: Optional[dict] = None) -> MinCheckOutcome:
-        try:
-            out = self._dfs(0)
-        except _BudgetExhausted:
-            out = Unknown()
-        if nodes is not None:
-            nodes["complete" if self.complete else "partial"] += self.nodes
-        return out if out is not None else Minimal()
+def _search(p: PartialCycleSet, t: _Tables, complete: bool, nodes: Optional[dict]) -> MinCheckOutcome:
+    """Depth-first search over partial centralizer permutations.
 
-    def _dfs(self, idx: int) -> Optional[MinCheckOutcome]:
-        n = self.n
-        fwd, inv = self.fwd, self.inv
-        domains = self.domains
-        cells = self.cells
-        while idx < n * n:
-            i, j = cells[idx]
-            if i == j:
-                idx += 1
-                continue
+    fwd/inv hold the fixes, made a whole cycle at a time, and `trail` the
+    fixed points in order; a branching frame undoes back to its mark,
+    which also takes back the forced fixes made below it.  Each fixed
+    cycle is one node, and a partial check gives up at the node past
+    PARTIAL_NODE_LIMIT.  An image cell with one value (every cell of a
+    complete check) forces its preimage step: the first free classmate u
+    of that value prunes above the bound, is a witness below it, and at it
+    the scan goes on in the same frame.  Any later classmate would exceed
+    the bound, so branching there would take the same steps.
+    """
+    n = t.n
+    doms = p.domains
+    if complete:
+        lo = val = [m.bit_length() for m in doms]
+    else:
+        lo = [(m & -m).bit_length() for m in doms]
+        # a cell's value when it has one, else 0
+        val = [0 if m & (m - 1) else m.bit_length() for m in doms]
+    cycle, classmates, cells, row_base = t.cycle, t.classmates, t.cells, t.row_base
+    ncells = len(cells)
+    limit = sys.maxsize if complete else PARTIAL_NODE_LIMIT
+    fwd = [0] * (n + 1)
+    inv = [0] * (n + 1)
+    trail: list[int] = []
+    count = 0
+
+    def dfs(k):
+        nonlocal count
+        for k in range(k, ncells):
+            i, j, c = cells[k]
             a = fwd[i]
-            if not a:
-                return self._branch_element(i, idx)
             b = fwd[j]
-            if not b:
-                return self._branch_element(j, idx)
-            dmask = domains[(i - 1) * n + (j - 1)]
-            dmin = (dmask & -dmask).bit_length()
-            image_mask = domains[(a - 1) * n + (b - 1)]
-            amax = 0
-            rest = image_mask
-            while rest:
-                low = rest & -rest
-                u = inv[low.bit_length()]
-                if not u:
-                    return self._branch_preimage(low.bit_length(), dmin, idx)
-                if u > amax:
-                    amax = u
-                rest ^= low
-            if amax > dmin:
+            if not (a and b):
+                # branch on the image of x's cycle
+                x = j if a else i
+                cx = cycle[x]
+                mark = len(trail)
+                for y in classmates[x]:
+                    if inv[y]:
+                        continue
+                    count += 1
+                    if count > limit:
+                        raise _BudgetExhausted
+                    if len(cx) == 1:
+                        fwd[x] = y
+                        inv[y] = x
+                        trail.append(x)
+                    else:
+                        for src, dst in zip(cx, cycle[y]):
+                            fwd[src] = dst
+                            inv[dst] = src
+                        trail.extend(cx)
+                    out = dfs(k)
+                    if out is not None:
+                        return out
+                    while len(trail) > mark:
+                        src = trail.pop()
+                        inv[fwd[src]] = 0
+                        fwd[src] = 0
                 return None
-            if amax < dmin:
-                return Witness(self._completion())
-            if not self.complete:
-                out = self._try_propagate((i, j), (a, b), image_mask, dmask, dmin)
+            d = lo[c]
+            img = row_base[a] + b
+            v = val[img]
+            if v:
+                u = inv[v]
+                if not u:
+                    # forced: v's first free classmate is its preimage
+                    for u in classmates[v]:
+                        if not fwd[u]:
+                            break
+                    if u > d:
+                        return None
+                    count += 1
+                    if count > limit:
+                        raise _BudgetExhausted
+                    cu = cycle[u]
+                    if len(cu) == 1:
+                        fwd[u] = v
+                        inv[v] = u
+                        trail.append(u)
+                    else:
+                        for src, dst in zip(cu, cycle[v]):
+                            fwd[src] = dst
+                            inv[dst] = src
+                        trail.extend(cu)
+                if u > d:
+                    return None
+                if u < d:
+                    return Witness(_completion(t, fwd, inv))
+            else:
+                amax = 0
+                rest = doms[img]
+                while rest:
+                    low = rest & -rest
+                    w = low.bit_length()
+                    u = inv[w]
+                    if not u:
+                        # branch on the preimage of w, within the bound
+                        mark = len(trail)
+                        for u in classmates[w]:
+                            if u > d:
+                                break
+                            if fwd[u]:
+                                continue
+                            count += 1
+                            if count > limit:
+                                raise _BudgetExhausted
+                            cu = cycle[u]
+                            for src, dst in zip(cu, cycle[w]):
+                                fwd[src] = dst
+                                inv[dst] = src
+                            trail.extend(cu)
+                            out = dfs(k)
+                            if out is not None:
+                                return out
+                            while len(trail) > mark:
+                                src = trail.pop()
+                                inv[fwd[src]] = 0
+                                fwd[src] = 0
+                        return None
+                    if u > amax:
+                        amax = u
+                    rest ^= low
+                if amax > d:
+                    return None
+                if amax < d:
+                    return Witness(_completion(t, fwd, inv))
+            if not complete and not (val[c] and v):
+                out = _try_propagate(p, t, fwd, inv, c, img)
                 if out is not None:
                     return out
-            idx += 1
         return None
 
-    def _branch_element(self, x: int, idx: int) -> Optional[MinCheckOutcome]:
-        inv = self.inv
-        mark = len(self.trail)
-        for y in self.classmates[x]:
-            if inv[y]:
-                continue
-            self._node()
-            self._fix_cycle(x, y)
-            out = self._dfs(idx)
-            if out is not None:
-                return out
-            self._undo(mark)
-        return None
+    try:
+        out = dfs(0)
+    except _BudgetExhausted:
+        out = Unknown()
+    if nodes is not None:
+        nodes["complete" if complete else "partial"] += count
+    return out if out is not None else Minimal()
 
-    def _branch_preimage(self, value: int, bound: int, idx: int) -> Optional[MinCheckOutcome]:
-        """Fix the preimage of an image-cell value, keeping it within the bound."""
-        fwd = self.fwd
-        mark = len(self.trail)
-        for u in self.classmates[value]:
-            if u > bound:
-                break
-            if fwd[u]:
-                continue
-            self._node()
-            self._fix_cycle(u, value)
-            out = self._dfs(idx)
-            if out is not None:
-                return out
-            self._undo(mark)
-        return None
 
-    def _try_propagate(self, cell, image_cell, image_mask, dmask, dmin) -> Optional[Propagate]:
-        """At a non-strict boundary with an undefined cell, pin the boundary value.
+def _try_propagate(p: PartialCycleSet, t: _Tables, fwd: list[int], inv: list[int],
+                   c: int, img: int) -> Optional[Propagate]:
+    """At a non-strict boundary with an undefined cell, pin the boundary value.
 
-        The propagated literal pins a value; asserting its negation (dropping
-        the value from the cell) is verified to turn the permutation into a
-        witness before anything is returned.
-        """
-        p = self.p
-        pi = self._completion()
-        if dmask & (dmask - 1):
-            refined = p.with_domain(cell, dmask & ~(1 << (dmin - 1)))
-            if strictly_below(apply_permutation(pi, refined), refined) is not None:
-                return Propagate(pi, cell, dmin)
-        if image_mask & (image_mask - 1):
-            inv = self.inv
-            vstar = max(mask_values(image_mask), key=lambda v: inv[v])
-            refined = p.with_domain(image_cell, image_mask & ~(1 << (vstar - 1)))
-            if strictly_below(apply_permutation(pi, refined), refined) is not None:
-                return Propagate(pi, image_cell, vstar)
-        return None
+    `c` and `img` are the flat indices of the compared cell and its image
+    cell.  The propagated literal pins a value; asserting its negation
+    (dropping the value from the cell) is verified to turn the permutation
+    into a witness before anything is returned.
+    """
+    n = t.n
+    pi = _completion(t, fwd, inv)
+    dmask = p.domains[c]
+    if dmask & (dmask - 1):
+        cell = (c // n + 1, c % n + 1)
+        dmin = (dmask & -dmask).bit_length()
+        refined = p.with_domain(cell, dmask & ~(1 << (dmin - 1)))
+        if strictly_below(apply_permutation(pi, refined), refined) is not None:
+            return Propagate(pi, cell, dmin)
+    image_mask = p.domains[img]
+    if image_mask & (image_mask - 1):
+        image_cell = (img // n + 1, img % n + 1)
+        vstar = max(mask_values(image_mask), key=lambda v: inv[v])
+        refined = p.with_domain(image_cell, image_mask & ~(1 << (vstar - 1)))
+        if strictly_below(apply_permutation(pi, refined), refined) is not None:
+            return Propagate(pi, image_cell, vstar)
+    return None
 
 
 def check(p: PartialCycleSet, diagonal: Diagonal, *, complete: bool,
@@ -251,4 +306,4 @@ def check(p: PartialCycleSet, diagonal: Diagonal, *, complete: bool,
     for x in range(1, p.n + 1):
         if p.domain(x, x) != 1 << (diagonal.value(x) - 1):
             raise ValueError("partial cycle set disagrees with the diagonal")
-    return _Search(p, diagonal, complete, None if complete else PARTIAL_NODE_LIMIT).run(nodes)
+    return _search(p, _tables(diagonal), complete, nodes)

@@ -6,15 +6,17 @@ from cyclesat.cycleset import (
     mask_of,
     strictly_below,
 )
+from cyclesat import mincheck
 from cyclesat.mincheck import (
     Minimal,
     Propagate,
     Unknown,
     Witness,
-    _Search,
+    _completion,
+    _tables,
     check,
 )
-from cyclesat.oracle import brute_force_all, extensions, is_lex_min
+from cyclesat.oracle import brute_force_all, brute_force_diagonal, extensions, is_lex_min
 from cyclesat.symmetry import (
     Diagonal,
     fixes_diagonal,
@@ -42,21 +44,25 @@ def random_partial(c, rnd):
 
 
 def search_state(diag):
-    return _Search(PartialCycleSet.unrestricted(diag.n), diag, complete=False, max_nodes=None)
+    """The search's tables for `diag` and its state before any fix."""
+    return _tables(diag), [0] * (diag.n + 1), [0] * (diag.n + 1)
 
 
 def test_completion_lies_in_centralizer():
     for n in range(2, 6):
         for d in representative_diagonals(n):
-            assert fixes_diagonal(search_state(d)._completion(), d)
+            assert fixes_diagonal(_completion(*search_state(d)), d)
 
 
 def test_complete_checks_match_exhaustive_search_small():
-    for n in (2, 3, 4):
+    # n <= 4 from every cycle set, n = 5 per representative diagonal
+    for n in (2, 3, 4, 5):
         for diag in representative_diagonals(n):
-            for c in brute_force_all(n):
-                if c.diagonal_values() != diag.values():
-                    continue
+            if n <= 4:
+                matrices = [c for c in brute_force_all(n) if c.diagonal_values() == diag.values()]
+            else:
+                matrices = sorted(brute_force_diagonal(n, diag))
+            for c in matrices:
                 out = check(complete_partial(c), diag, complete=True)
                 if is_lex_min(c, diag):
                     assert isinstance(out, Minimal), c.to_line()
@@ -74,7 +80,8 @@ def test_n2_lex_min_is_minimal():
     assert isinstance(out, Minimal)
 
 
-def test_budget_exhaustion_returns_unknown():
+def test_budget_exhaustion_returns_unknown(monkeypatch):
+    monkeypatch.setattr(mincheck, "PARTIAL_NODE_LIMIT", 1)
     n = 5
     diag = Diagonal.identity(n)
     full = PartialCycleSet(n, [
@@ -82,10 +89,14 @@ def test_budget_exhaustion_returns_unknown():
         for i in range(1, n + 1)
         for j in range(1, n + 1)
     ])
-    out = _Search(full, diag, complete=False, max_nodes=1).run()
+    nodes = {"complete": 0, "partial": 0}
+    out = check(full, diag, complete=False, nodes=nodes)
     assert isinstance(out, (Unknown, Witness, Propagate))
     # never Minimal under a truncating budget: the search tree has branches
     assert not isinstance(out, Minimal)
+    if isinstance(out, Unknown):
+        # the node past the limit is counted, and no fix is made for it
+        assert nodes == {"complete": 0, "partial": 2}
 
 
 def test_witness_on_partial_orders_all_extensions():

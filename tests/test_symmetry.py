@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclesat.cycleset import PartialCycleSet, Permutation
+from cyclesat.cycleset import Permutation
 from cyclesat.errors import SizeLimitError
-from cyclesat.mincheck import _Search
+from cyclesat.mincheck import _completion, _tables
 from cyclesat.symmetry import (
     Diagonal,
     centralizer,
@@ -102,75 +102,75 @@ def test_centralizer_is_group_and_matches_commutation():
                     assert a.compose(b).images in members
 
 
-# Fixing x -> y in the minimality search propagates the fix round x's cycle
-# (mincheck._Search._fix_cycle); the search keeps it as fwd/inv arrays.
+# Fixing x -> y in the minimality search carries the fix round x's cycle:
+# it maps cycle[x] onto cycle[y] point by point (mincheck._Tables), into
+# the search's fwd/inv arrays.
 
 
 def search_state(diag):
-    return _Search(PartialCycleSet.unrestricted(diag.n), diag, complete=False, max_nodes=None)
+    """The search's tables for `diag` and its state before any fix."""
+    return _tables(diag), [0] * (diag.n + 1), [0] * (diag.n + 1)
 
 
-def snapshot(s):
-    return list(s.fwd), list(s.inv), list(s.trail)
+def fix_cycle(t, fwd, inv, x, y):
+    for a, b in zip(t.cycle[x], t.cycle[y]):
+        fwd[a] = b
+        inv[b] = a
 
 
 def test_propagate_cycle_paper_example():
     # diagonal (2 3 1)(5 6 4): fixing 1 -> 6 carries 1's cycle onto 6's
-    s = search_state(Diagonal(6, [(2, 3, 1), (5, 6, 4)]))
-    s._fix_cycle(1, 6)
-    assert (s.fwd[1], s.fwd[3], s.fwd[2]) == (6, 5, 4)
-    assert (s.inv[6], s.inv[5], s.inv[4]) == (1, 3, 2)
-    # 4's cycle goes onto the one free cycle, 1's, and undoing to the mark
-    # removes it whole
-    before = snapshot(s)
-    s._fix_cycle(4, 1)
-    assert (s.fwd[4], s.fwd[5], s.fwd[6]) == (1, 2, 3)
-    s._undo(len(before[2]))
-    assert snapshot(s) == before
+    t, fwd, inv = search_state(Diagonal(6, [(2, 3, 1), (5, 6, 4)]))
+    fix_cycle(t, fwd, inv, 1, 6)
+    assert (fwd[1], fwd[3], fwd[2]) == (6, 5, 4)
+    assert (inv[6], inv[5], inv[4]) == (1, 3, 2)
+    # 4's cycle goes onto the one free cycle, 1's
+    fix_cycle(t, fwd, inv, 4, 1)
+    assert (fwd[4], fwd[5], fwd[6]) == (1, 2, 3)
+    assert Permutation(fwd[1:]) == Permutation([6, 4, 5, 1, 2, 3])
 
 
 def test_propagate_cycle_identity_fixed_point():
-    # on the identity a fixed point is a whole cycle
-    s = search_state(Diagonal.identity(4))
-    s._fix_cycle(1, 1)
-    assert s.trail == [(1, 1)]
-    assert s.inv[1] == 1
-    s._fix_cycle(2, 3)
-    assert s.trail == [(1, 1), (2, 3)]
+    # on the identity a fixed point is a whole cycle, and any point a classmate
+    t, fwd, inv = search_state(Diagonal.identity(4))
+    assert t.cycle[1:] == [(1,), (2,), (3,), (4,)]
+    assert t.classmates[1:] == [[1, 2, 3, 4]] * 4
+    fix_cycle(t, fwd, inv, 2, 3)
+    assert (fwd, inv) == ([0, 0, 3, 0, 0], [0, 0, 0, 2, 0])
 
 
 def test_propagate_cycle_preserves_partition():
     # fwd and inv stay a partial bijection of 1..n onto 1..n
-    s = search_state(Diagonal(6, [(1, 2), (3, 4), (5,), (6,)]))
+    t, fwd, inv = search_state(Diagonal(6, [(1, 2), (3, 4), (5,), (6,)]))
+    assert t.classmates[1:] == [[1, 2, 3, 4]] * 4 + [[5, 6]] * 2
     for x, y in ((1, 3), (5, 6)):
-        s._fix_cycle(x, y)
-        fixed = [a for a in range(1, 7) if s.fwd[a]]
-        assert sorted(s.inv[s.fwd[a]] for a in fixed) == fixed
-        assert sum(1 for b in s.inv if b) == len(fixed)
-    assert (s.fwd[1], s.fwd[2], s.fwd[5]) == (3, 4, 6)
-    assert [a for a in range(1, 7) if s.fwd[a]] == [1, 2, 5]
+        fix_cycle(t, fwd, inv, x, y)
+        fixed = [a for a in range(1, 7) if fwd[a]]
+        assert sorted(inv[fwd[a]] for a in fixed) == fixed
+        assert sum(1 for b in inv if b) == len(fixed)
+    assert (fwd[1], fwd[2], fwd[5]) == (3, 4, 6)
+    assert [a for a in range(1, 7) if fwd[a]] == [1, 2, 5]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=6), st.randoms(use_true_random=False))
 def test_random_fix_chains_stay_consistent(n, rnd):
-    # the search's calls: an unmapped point onto a classmate that is no image yet
+    # the search's fixes: an unmapped point onto a classmate that is no image yet
     d = diagonal_from_partition(rnd.choice(integer_partitions(n)))
-    s = search_state(d)
+    t, fwd, inv = search_state(d)
     for _ in range(3):
-        unfixed = [x for x in range(1, n + 1) if not s.fwd[x]]
+        unfixed = [x for x in range(1, n + 1) if not fwd[x]]
         if not unfixed:
             break
         x = rnd.choice(unfixed)
-        before = snapshot(s)
-        s._fix_cycle(x, rnd.choice([y for y in s.classmates[x] if not s.inv[y]]))
-        assert len(s.trail) == len(before[2]) + d.cycle_len(x)
+        fix_cycle(t, fwd, inv, x, rnd.choice([y for y in t.classmates[x] if not inv[y]]))
+        assert len(t.cycle[x]) == d.cycle_len(x)
         # a partial bijection that commutes with the diagonal where defined
-        fixed = [a for a in range(1, n + 1) if s.fwd[a]]
-        assert sorted(s.inv[s.fwd[a]] for a in fixed) == fixed
-        assert sum(1 for b in s.inv if b) == len(fixed)
+        fixed = [a for a in range(1, n + 1) if fwd[a]]
+        assert sorted(inv[fwd[a]] for a in fixed) == fixed
+        assert sum(1 for b in inv if b) == len(fixed)
         for a in fixed:
-            assert s.fwd[d.value(a)] == d.value(s.fwd[a])
-        before = snapshot(s)
-        assert fixes_diagonal(s._completion(), d)
-        assert snapshot(s) == before
+            assert fwd[d.value(a)] == d.value(fwd[a])
+        before = (list(fwd), list(inv))
+        assert fixes_diagonal(_completion(t, fwd, inv), d)
+        assert (fwd, inv) == before
