@@ -194,9 +194,16 @@ def _cycloid_links(vm: VarMap, row: int, col_a: int, col_b: int, heads: list[int
 
     Then x = C[row,col_a] and y = C[row,col_b] differ, so the inner cell
     (x, y) is off the diagonal and cannot hold diag(x).  Combinations
-    impossible under row bijectivity or the fixed diagonal are skipped; a
-    repeated literal, which arises when the inner cell lies in `row`, is
-    written once.
+    impossible under row bijectivity or the fixed diagonal are skipped, and
+    so is every link holding both literals of a binary clause of the CNF:
+    - x = row puts the inner cell (row, y) in the link's row.  For y in
+      {col_a, col_b} it is the cell of var_a or var_b, whose ExactlyOne
+      excludes every value but that literal's own; that one link repeats
+      the literal and is written with it once.  Otherwise b = x repeats
+      var_a's row value and b = y var_b's.
+    - y = row with x = col_a and b = x, or with x = col_b and b = y, sets
+      C[row, x] = C[x, row] = b, the binary clause `_diagonal_instances`
+      writes when both cells hold one value.
     """
     n, diag = vm.n, vm.diagonal_values
     for x, var_a in vm.cell_vars(row, col_a):
@@ -205,14 +212,18 @@ def _cycloid_links(vm: VarMap, row: int, col_a: int, col_b: int, heads: list[int
             if y == x:
                 continue
             lits = [-var_a, -var_b]
-            for b in range(1, n + 1):
-                if b == t_x:
+            if x == row:
+                if y == col_a or y == col_b:
+                    yield lits + [heads[(x if y == col_a else y) - 1]]
                     continue
-                inner = -vm.matrix_var(x, y, b)
-                if inner in lits:
-                    yield lits + [heads[b - 1]]
-                else:
-                    yield lits + [inner, heads[b - 1]]
+                skip = (x, y)
+            elif y == row:
+                skip = (x,) if x == col_a else (y,) if x == col_b else ()
+            else:
+                skip = ()
+            for b in range(1, n + 1):
+                if b != t_x and b not in skip:
+                    yield lits + [-vm.matrix_var(x, y, b), heads[b - 1]]
 
 
 def _diagonal_instances(vm: VarMap, i: int, j: int) -> Iterable[Clause]:

@@ -160,6 +160,19 @@ def test_no_clause_repeats_a_literal(method):
                 assert len(set(cl)) == len(cl), (n, diag.label(), cl)
 
 
+
+@pytest.mark.parametrize("method", ["binary", "commander"])
+def test_no_clause_holds_a_binary_clause(method):
+    # such a clause holds wherever the binary clause does
+    for n in range(2, 7):
+        for diag in representative_diagonals(n):
+            clauses = encode_axioms(n, diag, method).clauses
+            binary = {frozenset(cl) for cl in clauses if len(cl) == 2}
+            for cl in clauses:
+                if len(cl) > 2:
+                    assert not any(frozenset(pair) in binary for pair in itertools.combinations(cl, 2)), \
+                        (n, diag.label(), cl)
+
 def breaking_family(diag):
     """Aligned swaps of equal-length cycles and one-step cycle rotations,
     each cycle written from its least element."""
@@ -316,14 +329,14 @@ def test_decode_model_malformed():
 PINNED_CNF_DIGESTS = {
     (2, "binary"): "cee7ec21148c12f8fe153ad859bafe9d96e7a6684e9cda21eb6951872ea77ebb",
     (2, "commander"): "cee7ec21148c12f8fe153ad859bafe9d96e7a6684e9cda21eb6951872ea77ebb",
-    (3, "binary"): "685f0507da8a1a5d36cbd0ab9f81ddce3cfa814243a74ce58d37d51a721976f8",
-    (3, "commander"): "685f0507da8a1a5d36cbd0ab9f81ddce3cfa814243a74ce58d37d51a721976f8",
-    (4, "binary"): "367639ed69fd9d1f6a268f98813102d62f9b971ee124d603d9d757a187c3a3c8",
-    (4, "commander"): "5b2c5d4329893073f93d36ec4d0cfc72182bfddb7f56ce94c4f18d19f79b9238",
-    (5, "binary"): "1cfd2bd04461a59530da8c9ad8c375ccff9cf3dbc74d97c1ca6593e23a2b35bb",
-    (5, "commander"): "1b9fa3529b49dfcae559f30f94e819fb1927412008367ca9008723a86cdd82a0",
-    (6, "binary"): "d1a5f1b45c29c0ee569984b517e95dcd56a726d4cb9ee8c4b69b546343d86319",
-    (6, "commander"): "2663a5eb2257d401b20d39aa3e14b6a1b83c205a5bd29920f47b3f0f258f3f5d",
+    (3, "binary"): "8163b03438a3c28eccb513f17578f6fbf05ecc448c351bc7ffc24c5649f709f2",
+    (3, "commander"): "8163b03438a3c28eccb513f17578f6fbf05ecc448c351bc7ffc24c5649f709f2",
+    (4, "binary"): "8e0f6344cb7138082a567e7cb47ea801ea433f64d4e934ec57af201b7fe23060",
+    (4, "commander"): "961420610c505524845116d2b95f572f71d240245cfe4c3431d6a12512646055",
+    (5, "binary"): "a0784a8619c56a2c7322ebe0f0c872c16b4f92af9f7dc2831931515ef6d55cfd",
+    (5, "commander"): "9323d47874781a2ebb47794fa3845659a64457c0ed345288870a88a9d34b5c98",
+    (6, "binary"): "a7de419fe51e298c48471168c6827963ea7071be4b6939dd8ff19391754077d0",
+    (6, "commander"): "a3a5674906d87fca3a4eacaadba280db085cd281d0917b4d7d623d51a23470d1",
 }
 
 
