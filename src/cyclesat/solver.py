@@ -277,6 +277,7 @@ class Solver:
         """First-UIP learning. Returns (learnt encoded, backjump level, lbd)."""
         seen = self._seen
         level = self._level
+        reason = self._reason
         trail = self._trail
         cur = len(self._trail_lim)
         learnt = [0]
@@ -285,9 +286,9 @@ class Solver:
         p = -1
         cl = confl
         while True:
-            start = 0 if p == -1 else 1
-            for t in range(start, len(cl)):
-                q = cl[t]
+            # a reason clause starts with the literal it implied, p, whose
+            # variable stays marked until the clause is walked
+            for q in cl:
                 v = q >> 1
                 if not seen[v] and level[v] > 0:
                     seen[v] = 1
@@ -295,38 +296,41 @@ class Solver:
                         path += 1
                     else:
                         learnt.append(q)
+            if p != -1:
+                seen[p >> 1] = 0
             while not seen[trail[idx] >> 1]:
                 idx -= 1
             p = trail[idx]
             idx -= 1
-            v = p >> 1
-            cl = self._reason[v]
-            seen[v] = 0
             path -= 1
             if path == 0:
                 break
+            cl = reason[p >> 1]
+        seen[p >> 1] = 0
         learnt[0] = p ^ 1
         collected = learnt
-        # cheap local minimization: drop literals implied by the rest
+        # cheap local minimization: drop a literal whose reason holds only
+        # marked or level-0 literals besides its own, which is marked
         keep = [learnt[0]]
         for q in learnt[1:]:
-            r = self._reason[q >> 1]
+            r = reason[q >> 1]
             if r is None:
                 keep.append(q)
                 continue
-            if all(seen[x >> 1] or level[x >> 1] == 0 for x in r[1:]):
-                continue
-            keep.append(q)
+            for x in r:
+                v = x >> 1
+                if not seen[v] and level[v]:
+                    keep.append(q)
+                    break
         learnt = keep
         if len(learnt) == 1:
             bt = 0
         else:
-            mx = 1
-            for t in range(2, len(learnt)):
-                if level[learnt[t] >> 1] > level[learnt[mx] >> 1]:
-                    mx = t
+            mx, bt = 1, level[learnt[1] >> 1]
+            for t, q in enumerate(learnt[2:], 2):
+                if level[q >> 1] > bt:
+                    mx, bt = t, level[q >> 1]
             learnt[1], learnt[mx] = learnt[mx], learnt[1]
-            bt = level[learnt[1] >> 1]
         lbd = len({level[q >> 1] for q in learnt})
         for q in collected:
             seen[q >> 1] = 0
