@@ -93,6 +93,7 @@ class _Tables:
 
 @lru_cache(maxsize=64)
 def _tables(diagonal: Diagonal) -> _Tables:
+    # shared by every check of the diagonal, which only reads them
     return _Tables(diagonal)
 
 
@@ -240,6 +241,8 @@ def _search(p: PartialCycleSet, t: _Tables, complete: bool, nodes: Optional[dict
                     return None
                 if amax < d:
                     return Witness(_completion(t, fwd, inv))
+            # a propagation pins a value of an undefined cell, the compared
+            # one or its image
             if not complete and not (val[c] and v):
                 out = _try_propagate(p, t, fwd, inv, c, img)
                 if out is not None:
