@@ -4,21 +4,29 @@ One-hot matrix variables v(i,j,k) say cell (i,j) holds value k.  With the
 diagonal fixed, v(i,j,k) exists only for j != i and k != diag(i); clauses
 touching fixed diagonal values are simplified during generation (satisfied
 clauses dropped, false literals removed), keeping the numbering dense and
-reproducible.  The cycloid equation is channelled through head variables
-y(i,j,k,b), generated for i < j and k not in {i, j}, that hold exactly when
-both sides of the equation evaluate to b.  For k in {i, j} one side falls
-on the fixed diagonal, and the equation is written as direct clauses over
+reproducible.  For k in {i, j} one side of the cycloid equation falls on
+the fixed diagonal, and the equation is written as direct clauses over
 matrix variables alone.
 
+Two CNFs are built.  `encode_axioms`, which the search loads, stops there:
+`cycloid.CycloidPropagator` enforces the equation for k not in {i, j}
+during the search.  `reference_cnf` adds it as clauses, channelled through
+head variables y(i,j,k,b), generated for i < j and k not in {i, j}, that
+hold exactly when both sides of the equation evaluate to b.  It is the
+complete axiom CNF that `--dimacs-dump` writes and `oracle.labelled_count`
+counts, independent of the propagator.
+
 Variable layout, in order: matrix variables (cells row-major, values
-ascending, numbered by `VarMap`), then the y variables `encode_axioms`
-allocates, then auxiliaries from the ExactlyOne encodings.  With the
-default "binary" method only groups of 8 or more literals get auxiliaries,
-so up to n = 7 there are none; at n = 8 only the head groups y(i,j,k,.)
-have them.  "commander" adds them for groups of more than three.  Matrix
-variables coming first is what the solver's branching order relies on; the
-incremental minimality check numbers its copy of the matrix by the same
-`VarMap`, and `matrix_literals` pins either instance to a cycle set.
+ascending, numbered by `VarMap`), then auxiliaries from the ExactlyOne
+encodings, then, in the reference CNF only, the heads and their
+auxiliaries.  With the default "binary" method only groups of 8 or more
+literals get auxiliaries: the matrix groups have at most 7 up to n = 8, so
+`encode_axioms` has matrix variables only; in the reference CNF the head
+groups y(i,j,k,.) have them at n = 8.  "commander" adds them for groups of
+more than three.  Matrix variables coming first is what the solver's
+branching order relies on; the incremental minimality check numbers its
+copy of the matrix by the same `VarMap`, and `matrix_literals` pins either
+instance to a cycle set.
 
 `VarMap` is the one place that knows the matrix's structure: its `cells`
 (the off-diagonal cells, row-major), its `groups` (the ExactlyOne families
@@ -249,42 +257,49 @@ def _diagonal_instances(vm: VarMap, i: int, j: int) -> Iterable[Clause]:
 
 
 def encode_axioms(n: int, diagonal: Diagonal, method: str = "binary") -> Cnf:
-    """CNF whose models, projected to matrix variables, are exactly the
-    cycle sets of size n with the given diagonal.
+    """The axiom CNF the search loads: its models, projected to matrix
+    variables, are the cycle sets of size n with the given diagonal once
+    `cycloid.CycloidPropagator` enforces the cycloid equation for k not in
+    {i, j}.
 
     Clauses, in order: ExactlyOne per cell, ExactlyOne per row value, then
-    per pair i < j the direct clauses of the instances k = i and k = j,
-    followed by the head links and head ExactlyOne of every k not in
-    {i, j}.  The heads y(i,j,k,b) are numbered right after the matrix, in
-    that order of (i, j, k), then b ascending."""
+    per pair i < j the direct clauses of the instances k = i and k = j.
+    Variables: the matrix, then the ExactlyOne auxiliaries, if any."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if diagonal.n != n:
         raise ValueError("diagonal size mismatch")
     vm = VarMap(n, diagonal)
     alloc = VarAllocator(vm.num_matrix_vars + 1)
-    heads = {
-        (i, j, k): [alloc.fresh() for _ in range(n)]
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        for k in range(1, n + 1)
-        if k != i and k != j
-    }
     # each cell takes exactly one value, each value occurs exactly once per
     # row (diagonal occurrences excluded)
     clauses = [cl for group in vm.groups for cl in exactly_one(group, method, alloc)]
-    # cycloid equation per pair i < j: direct clauses where one side lies on
-    # the diagonal, shared head variables for both sides everywhere else
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             clauses.extend(_diagonal_instances(vm, i, j))
-            for k in range(1, n + 1):
-                if k == i or k == j:
-                    continue
-                head = heads[(i, j, k)]
-                clauses.extend(_cycloid_links(vm, i, j, k, head))
-                clauses.extend(_cycloid_links(vm, j, i, k, head))
-                clauses.extend(exactly_one(head, method, alloc))
+    return Cnf(clauses, alloc.next_var - 1, vm)
+
+
+def reference_cnf(n: int, diagonal: Diagonal, method: str = "binary") -> Cnf:
+    """CNF whose models, projected to matrix variables, are exactly the
+    cycle sets of size n with the given diagonal, with no propagator.
+
+    `encode_axioms`' clauses, then per pair i < j and k not in {i, j} the
+    head links and head ExactlyOne.  The heads y(i,j,k,b) are numbered
+    after `encode_axioms`' variables, in that order of (i, j, k), then b
+    ascending.  `--dimacs-dump` writes this CNF and
+    `oracle.labelled_count` counts its models; the search never loads it."""
+    cnf = encode_axioms(n, diagonal, method)
+    vm = cnf.varmap
+    alloc = VarAllocator(cnf.num_vars + 1)
+    triples = [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+               for k in range(1, n + 1) if k != i and k != j]
+    heads = [[alloc.fresh() for _ in range(n)] for _ in triples]
+    clauses = cnf.clauses
+    for (i, j, k), head in zip(triples, heads):
+        clauses.extend(_cycloid_links(vm, i, j, k, head))
+        clauses.extend(_cycloid_links(vm, j, i, k, head))
+        clauses.extend(exactly_one(head, method, alloc))
     return Cnf(clauses, alloc.next_var - 1, vm)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cycleset import CycleSet, PartialCycleSet, Permutation, apply_permutation, full_mask, satisfies_axioms
-from .encoding import encode_axioms
+from .encoding import reference_cnf
 from .errors import DatabaseParseError, SizeLimitError
 from .solver import PropagatorHooks, Solver
 from .symmetry import Diagonal, centralizer
@@ -115,12 +115,12 @@ def brute_force_diagonal(n: int, diagonal: Diagonal) -> set[CycleSet]:
 def labelled_count(n: int, diagonal: Diagonal, method: str = "binary") -> int:
     """Number of cycle sets of size n whose diagonal equals the given one.
 
-    Every model of the axiom CNF is counted and blocked on its matrix
-    variables, which determine the rest of the model.  No symmetry breaking
-    and no minimality check takes part, so nothing that could over-prune
-    does.
+    Every model of the complete axiom CNF, `reference_cnf`, is counted and
+    blocked on its matrix variables, which determine the rest of the model.
+    No symmetry breaking, no minimality check and no cycloid propagator
+    takes part, so nothing that could over-prune does.
     """
-    cnf = encode_axioms(n, diagonal, method)
+    cnf = reference_cnf(n, diagonal, method)
     matrix_vars = range(1, cnf.varmap.num_matrix_vars + 1)
     solver = Solver(cnf.num_vars, num_static=cnf.varmap.num_matrix_vars)
     solver.add_cnf(cnf.clauses)

@@ -1,7 +1,8 @@
 """Per-diagonal enumeration: wiring the engine, minimality hooks, and stats.
 
 Each selected diagonal is an independent subproblem: its axioms are
-encoded, static lex-leader clauses are added for aligned swaps of its
+encoded, the cycloid propagator is attached for the rest of the cycloid
+equation, static lex-leader clauses are added for aligned swaps of its
 equal-length cycles and a one-step rotation of each cycle, and one `solve`
 call of a fresh solver enumerates it.  The propagator hooks run a
 minimality backend on every full assignment and, every PARTIAL_FREQUENCY-th
@@ -23,7 +24,8 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 from .cycleset import CycleSet, PartialCycleSet, extract_partial
-from .encoding import Cnf, encode_axioms, decode_model, lex_leader_clauses
+from .cycloid import CycloidPropagator
+from .encoding import Cnf, encode_axioms, decode_model, lex_leader_clauses, reference_cnf
 from .learning import blocking_clause, breaking_clause, optimize_clause, propagation_clause
 from .mincheck import Minimal, Propagate, Unknown, Witness
 from .mincheck import check as backtrack_check
@@ -87,6 +89,7 @@ class DiagStats:
     total_time: float = 0.0
     # nodes of the backtracking search, summed over its checks of each kind
     check_nodes: dict = field(default_factory=lambda: {"partial": 0, "complete": 0})
+    # Solver.stats(): the search counters and the cycloid propagator's
     engine: dict = field(default_factory=dict)
     # the solver's variables (lex-leader chain variables included), the
     # axiom clauses, and the lex-leader clauses loaded beside them
@@ -165,11 +168,12 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
     t0 = time.perf_counter()
     cnf = encode_axioms(config.n, diagonal, config.eo_method)
     if config.dimacs_dir:
-        _dump_dimacs(cnf, config, diagonal)
+        _dump_dimacs(config, diagonal)
     symmetry_clauses, num_vars = lex_leader_clauses(cnf.varmap, cnf.num_vars + 1)
     solver = Solver(num_vars, num_static=cnf.varmap.num_matrix_vars, seed=config.seed)
     if config.trace_path:
         solver.trace = io.StringIO()
+    solver.attach_propagator(CycloidPropagator(cnf.varmap, solver))
     solver.add_cnf(cnf.clauses)
     solver.add_cnf(symmetry_clauses)
     hooks_impl = MinimalityHooks(cnf, diagonal, config)
@@ -194,7 +198,9 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
     return hooks_impl.solutions, st
 
 
-def _dump_dimacs(cnf: Cnf, config: RunConfig, diagonal: Diagonal):
+def _dump_dimacs(config: RunConfig, diagonal: Diagonal):
+    """The complete axiom CNF, `reference_cnf`, and its variable map."""
+    cnf = reference_cnf(config.n, diagonal, config.eo_method)
     os.makedirs(config.dimacs_dir, exist_ok=True)
     # "id" -> "_id", "(1 2)(3 4)" -> "_12_34"
     tag = diagonal.label().replace(" ", "").replace(")(", "_").strip("()")

@@ -7,13 +7,17 @@ assumptions, and a user propagator that decides every full assignment: it
 accepts the model, which `solve` then returns, or hands back a clause the
 search installs and goes on from.  Enumeration is such a propagator: it
 records each model it accepts and returns that model's blocking clause,
-so `solve` ends with unsat once no assignment is left.
+so `solve` ends with unsat once no assignment is left.  A propagator
+attached with `attach_propagator` is called on each processed literal that
+sets one of its variables true, inside the propagation loop: it implies
+literals, each with a reason clause, or reports a conflict clause.
 
 Literals are signed integers at the API boundary (DIMACS style) and are
-encoded internally as var<<1 | sign.  Propagator clauses, breaking and
+encoded internally as var<<1 | sign.  Hook clauses, breaking and
 blocking clauses among them, are pinned: they are never deleted, since
 they carry symmetry information whose loss would break completeness of
-the breaking.
+the breaking.  An attached propagator's reason clauses are kept only as
+reasons, and its conflict clauses only through what is learned from them.
 """
 
 from __future__ import annotations
@@ -114,6 +118,8 @@ class Solver:
         self.propagations = 0
         self.restarts = 0
         self.trace = None  # optional text stream for conflict/restart logging
+        self._propagator = None
+        self._propagator_lim = 0  # encoded positive literals below it go to the propagator
 
     # ------------------------------------------------------------------ basics
 
@@ -210,6 +216,22 @@ class Solver:
 
     # ------------------------------------------------------------- propagation
 
+    def attach_propagator(self, propagator):
+        """Have `_propagate` call propagator.propagate(p) after the watch
+        loop of each processed literal p that sets one of the variables
+        1..propagator.num_vars true.
+
+        The call may put implied literals on the trail with `_enqueue` and
+        a reason clause: the implied literal first, every other literal
+        false.  It returns None, or a conflict clause, all false, that goes
+        to `_on_conflict` like any other.  Reason clauses are neither
+        watched nor pinned.  Attach before loading any clause, so that the
+        propagator sees every literal on the trail."""
+        if self._trail or self._clauses:
+            raise ValueError("attach the propagator before loading clauses")
+        self._propagator = propagator
+        self._propagator_lim = (propagator.num_vars + 1) << 1
+
     def _propagate(self) -> Optional[list[int]]:
         val = self._val
         watches = self._watches
@@ -219,6 +241,7 @@ class Solver:
         lvl = len(self._trail_lim)
         qhead = self._qhead
         ntrail = len(trail)
+        lim = self._propagator_lim
         nprops = 0
         confl = None
         while qhead < ntrail:
@@ -267,6 +290,12 @@ class Solver:
                     ntrail += 1
             if confl is not None:
                 break
+            if p < lim and not p & 1:  # lim is 0 with no propagator
+                confl = self._propagator.propagate(p)
+                ntrail = len(trail)
+                if confl is not None:
+                    qhead = ntrail
+                    break
         self._qhead = qhead
         self.propagations += nprops
         return confl
@@ -531,10 +560,13 @@ class Solver:
         return self._on_conflict(enc)
 
     def stats(self) -> dict:
-        return {
+        out = {
             "conflicts": self.conflicts,
             "decisions": self.decisions,
             "propagations": self.propagations,
             "restarts": self.restarts,
             "learned": len(self._learnts),
         }
+        if self._propagator is not None:
+            out.update(self._propagator.stats())
+        return out

@@ -68,6 +68,7 @@ def criterion(num, label):
 
 
 ENGINE_KEYS = ("decisions", "conflicts", "propagations", "restarts", "learned")
+CYCLOID_KEYS = ("cycloid_checks", "cycloid_implied", "cycloid_conflicts")
 OUTCOME_KEYS = ("partial_witness", "partial_propagate", "partial_minimal", "partial_unknown", "complete_witness")
 
 
@@ -75,8 +76,9 @@ OUTCOME_KEYS = ("partial_witness", "partial_propagate", "partial_minimal", "part
 def enumerate_run(n, backend):
     """Sorted output lines of a full run, with its engine counters and
     check outcomes summed over the diagonals (in ENGINE_KEYS and
-    OUTCOME_KEYS order), and the backtracking search's nodes summed over
-    the diagonals, (complete, partial)."""
+    OUTCOME_KEYS order), the backtracking search's nodes summed over
+    the diagonals, (complete, partial), and the cycloid propagator's
+    counters summed over the diagonals, in CYCLOID_KEYS order."""
     t0 = time.perf_counter()
     sols, stats = run_enumerate(RunConfig(n=n, backend=backend))
     elapsed = time.perf_counter() - t0
@@ -84,7 +86,8 @@ def enumerate_run(n, backend):
     engine = tuple(sum(st["engine"][k] for st in stats.values()) for k in ENGINE_KEYS)
     outcomes = tuple(sum(st["outcomes"][k] for st in stats.values()) for k in OUTCOME_KEYS)
     nodes = tuple(sum(st["check_nodes"][k] for st in stats.values()) for k in ("complete", "partial"))
-    return tuple(c.to_line() for c in sols), (engine, outcomes), nodes
+    cycloid = tuple(sum(st["engine"][k] for st in stats.values()) for k in CYCLOID_KEYS)
+    return tuple(c.to_line() for c in sols), (engine, outcomes), nodes, cycloid
 
 
 def enumerate_lines(n, backend):
@@ -114,10 +117,19 @@ def test_sorted_output_bytes_pinned():
 # sizes where the partial check finds witnesses and propagations: a change
 # meant to leave the search alone must reproduce them exactly.
 PINNED_SEARCH = {
-    (6, "backtrack"): ((2327, 1895, 253327, 6, 1826), (1, 3, 31, 7, 31)),
-    (6, "incremental"): ((2321, 1898, 253457, 6, 1829), (2, 4, 29, 6, 33)),
-    (7, "backtrack"): ((16384, 12617, 2353759, 60, 12485), (19, 20, 218, 65, 190)),
-    (7, "incremental"): ((16381, 12656, 2358960, 60, 12523), (17, 24, 219, 61, 193)),
+    (6, "backtrack"): ((2698, 2141, 93006, 7, 2071), (1, 3, 35, 9, 32)),
+    (6, "incremental"): ((2710, 2153, 93277, 7, 2083), (2, 3, 34, 9, 31)),
+    (7, "backtrack"): ((19681, 14392, 755639, 65, 14257), (24, 27, 249, 85, 192)),
+    (7, "incremental"): ((19665, 14445, 756266, 65, 14310), (27, 25, 247, 86, 191)),
+}
+
+# The cycloid propagator's (checks, implied, conflicts) in the same runs,
+# summed over the diagonals.
+PINNED_CYCLOID = {
+    (6, "backtrack"): (49858, 3246, 724),
+    (6, "incremental"): (50035, 3280, 733),
+    (7, "backtrack"): (414949, 27095, 5576),
+    (7, "incremental"): (416173, 27108, 5597),
 }
 
 
@@ -127,16 +139,22 @@ def test_search_pinned_n6_n7():
             assert enumerate_run(n, backend)[1] == want, (n, backend)
 
 
+def test_cycloid_counters_pinned_n6_n7():
+    with criterion("1c", "cycloid propagator counters n=6 and n=7, both backends"):
+        for (n, backend), want in PINNED_CYCLOID.items():
+            assert enumerate_run(n, backend)[3] == want, (n, backend)
+
+
 # (complete, partial) nodes of the backtracking search in criterion 1's
 # runs, labelling 0; the incremental backend sends it partial states only.
 # A change to the search that keeps its branching order must reproduce them.
 PINNED_CHECK_NODES = {
-    (5, "backtrack"): (4325, 122),
-    (5, "incremental"): (0, 122),
-    (6, "backtrack"): (75328, 2609),
-    (6, "incremental"): (0, 2271),
-    (7, "backtrack"): (1664252, 21926),
-    (7, "incremental"): (0, 21542),
+    (5, "backtrack"): (4325, 191),
+    (5, "incremental"): (0, 191),
+    (6, "backtrack"): (75401, 3059),
+    (6, "incremental"): (0, 3094),
+    (7, "backtrack"): (1663544, 28013),
+    (7, "incremental"): (0, 28459),
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from cyclesat.cycleset import CycleSet, Permutation, apply_permutation, satisfies_axioms
 from cyclesat.encoding import (VarAllocator, decode_model, encode_axioms, exactly_one, lex_leader_clauses,
-                               lex_leader_family, matrix_literals)
+                               lex_leader_family, matrix_literals, reference_cnf)
 from cyclesat.errors import MalformedModelError
 from cyclesat.oracle import brute_force_all, brute_force_diagonal, is_lex_min
 from cyclesat.sat_mincheck import OracleInstance
@@ -70,11 +70,15 @@ def test_matrix_variable_count():
 @pytest.mark.parametrize("n", range(2, 8))
 def test_heads_only_for_k_outside_the_pair(n):
     # binary writes every group up to n = 7 without auxiliaries, so the
-    # variables are the matrix and the heads y(i,j,k,b), i < j, k not in {i, j}
+    # search's CNF has the matrix variables alone, and the reference CNF
+    # adds the heads y(i,j,k,b), i < j, k not in {i, j}
     heads = math.comb(n, 2) * (n - 2) * n
     for diag in representative_diagonals(n):
         cnf = encode_axioms(n, diag, "binary")
-        assert cnf.num_vars == cnf.varmap.num_matrix_vars + heads, diag.label()
+        assert cnf.num_vars == cnf.varmap.num_matrix_vars, diag.label()
+        ref = reference_cnf(n, diag, "binary")
+        assert ref.num_vars == cnf.num_vars + heads, diag.label()
+        assert ref.clauses[:len(cnf.clauses)] == cnf.clauses
 
 
 def test_direct_clauses_are_the_diagonal_instances_of_the_equation():
@@ -103,14 +107,14 @@ def test_direct_clauses_are_the_diagonal_instances_of_the_equation():
 
 
 def test_varmap_determinism():
-    a = encode_axioms(4, Diagonal.parse("(1 2)", 4))
-    b = encode_axioms(4, Diagonal.parse("(1 2)", 4))
+    a = reference_cnf(4, Diagonal.parse("(1 2)", 4))
+    b = reference_cnf(4, Diagonal.parse("(1 2)", 4))
     assert a.to_dimacs() == b.to_dimacs()
     assert a.varmap.sidecar_text() == b.varmap.sidecar_text()
 
 
 def test_dimacs_format():
-    cnf = encode_axioms(2, Diagonal.identity(2))
+    cnf = reference_cnf(2, Diagonal.identity(2))
     text = cnf.to_dimacs()
     head = text.splitlines()[0].split()
     assert head[:2] == ["p", "cnf"]
@@ -120,8 +124,8 @@ def test_dimacs_format():
     assert cnf.varmap.sidecar_text().startswith("v 1 2 2 1")
 
 
-def enumerate_matrices(cnf, with_aux_check=False):
-    """All models of the axiom encoding, decoded to matrices."""
+def enumerate_matrices(cnf):
+    """All models of a CNF, decoded to matrices."""
     solver = Solver(cnf.num_vars, num_static=cnf.varmap.num_matrix_vars)
     solver.add_cnf(cnf.clauses)
     models = []
@@ -143,7 +147,7 @@ def test_models_match_brute_force(method):
     for n in (2, 3, 4):
         reference = brute_force_all(n)
         for diag in representative_diagonals(n):
-            cnf = encode_axioms(n, diag, method)
+            cnf = reference_cnf(n, diag, method)
             got = sorted(enumerate_matrices(cnf))
             want = sorted(c for c in reference if c.diagonal_values() == diag.values())
             assert got == want, (n, diag.label(), method)
@@ -152,9 +156,10 @@ def test_models_match_brute_force(method):
 
 @pytest.mark.parametrize("method", ["binary", "commander"])
 def test_no_clause_repeats_a_literal(method):
+    # the reference CNF starts with the search's
     for n in range(2, 7):
         for diag in representative_diagonals(n):
-            cnf = encode_axioms(n, diag, method)
+            cnf = reference_cnf(n, diag, method)
             symmetry, _ = lex_leader_clauses(cnf.varmap, cnf.num_vars + 1)
             for cl in cnf.clauses + symmetry:
                 assert len(set(cl)) == len(cl), (n, diag.label(), cl)
@@ -166,7 +171,7 @@ def test_no_clause_holds_a_binary_clause(method):
     # such a clause holds wherever the binary clause does
     for n in range(2, 7):
         for diag in representative_diagonals(n):
-            clauses = encode_axioms(n, diag, method).clauses
+            clauses = reference_cnf(n, diag, method).clauses
             binary = {frozenset(cl) for cl in clauses if len(cl) == 2}
             for cl in clauses:
                 if len(cl) > 2:
@@ -304,9 +309,9 @@ def test_lex_leader_clauses_number_chain_variables_from_first_var():
 
 
 def test_n2_unique_models():
-    got = enumerate_matrices(encode_axioms(2, Diagonal.identity(2)))
+    got = enumerate_matrices(reference_cnf(2, Diagonal.identity(2)))
     assert got == [CycleSet.from_rows([[1, 2], [1, 2]])]
-    got = enumerate_matrices(encode_axioms(2, Diagonal.parse("(1 2)", 2)))
+    got = enumerate_matrices(reference_cnf(2, Diagonal.parse("(1 2)", 2)))
     assert got == [CycleSet.from_rows([[2, 1], [2, 1]])]
 
 
@@ -321,22 +326,23 @@ def test_decode_model_malformed():
 
 
 # sha256 over every representative diagonal of the size, in
-# `representative_diagonals` order, of the axiom DIMACS, the variable map,
+# `representative_diagonals` order, of the search's axiom DIMACS, the
+# reference DIMACS that `--dimacs-dump` writes, the variable map,
 # the lex-leader clauses with their variable count, and the clauses the
 # incremental check's instance loads with its variable count.  A change to
 # how any of these instances is built must leave them byte-identical, or
 # say why they move.
 PINNED_CNF_DIGESTS = {
-    (2, "binary"): "cee7ec21148c12f8fe153ad859bafe9d96e7a6684e9cda21eb6951872ea77ebb",
-    (2, "commander"): "cee7ec21148c12f8fe153ad859bafe9d96e7a6684e9cda21eb6951872ea77ebb",
-    (3, "binary"): "8163b03438a3c28eccb513f17578f6fbf05ecc448c351bc7ffc24c5649f709f2",
-    (3, "commander"): "8163b03438a3c28eccb513f17578f6fbf05ecc448c351bc7ffc24c5649f709f2",
-    (4, "binary"): "8e0f6344cb7138082a567e7cb47ea801ea433f64d4e934ec57af201b7fe23060",
-    (4, "commander"): "961420610c505524845116d2b95f572f71d240245cfe4c3431d6a12512646055",
-    (5, "binary"): "a0784a8619c56a2c7322ebe0f0c872c16b4f92af9f7dc2831931515ef6d55cfd",
-    (5, "commander"): "9323d47874781a2ebb47794fa3845659a64457c0ed345288870a88a9d34b5c98",
-    (6, "binary"): "a7de419fe51e298c48471168c6827963ea7071be4b6939dd8ff19391754077d0",
-    (6, "commander"): "a3a5674906d87fca3a4eacaadba280db085cd281d0917b4d7d623d51a23470d1",
+    (2, "binary"): "90f78a2730a125ef504a0acc50a631bb9bafca01882bf9b4983b397a79b0c1a7",
+    (2, "commander"): "90f78a2730a125ef504a0acc50a631bb9bafca01882bf9b4983b397a79b0c1a7",
+    (3, "binary"): "5b3f6281c57ab2dc9cb79c9adfd9146c999f3d8d399c647ef3d366d5820fc8db",
+    (3, "commander"): "5b3f6281c57ab2dc9cb79c9adfd9146c999f3d8d399c647ef3d366d5820fc8db",
+    (4, "binary"): "787cc3c9d26b505e05c8859ad38bd9e81d8066c49d0923b81521e31fd545212c",
+    (4, "commander"): "e9ed0fa07d9bc6ea5ba6c53be76d3e21bcc2bcafaadddc7ded336c9a781ebe40",
+    (5, "binary"): "2607f786104b47523c1651518b67da2229e54bead1d4f507c5f7632ef6c7ba94",
+    (5, "commander"): "c508470b4cb9ae32a4c0f0a53eb7e4de06470790b70326c78eefa8a29540d6e7",
+    (6, "binary"): "d6f5b8d8acbc7f8eeb3e4f0718845f0b01819f1d719d7a24b37c6364c2050a30",
+    (6, "commander"): "8ea990b5dc0e2773680275060d825e875b995d20155a09f9b8c1db2d1818c001",
 }
 
 
@@ -355,6 +361,7 @@ def test_cnfs_are_pinned(n, method, monkeypatch):
     for diag in representative_diagonals(n):
         cnf = encode_axioms(n, diag, method)
         h.update(cnf.to_dimacs().encode())
+        h.update(reference_cnf(n, diag, method).to_dimacs().encode())
         h.update(cnf.varmap.sidecar_text().encode())
         h.update(repr(lex_leader_clauses(cnf.varmap, cnf.num_vars + 1)).encode())
         loaded.clear()

@@ -10,10 +10,11 @@ import pytest
 
 from cyclesat import cli, run
 from cyclesat.cli import main
+from cyclesat.cycleset import CycleSet
 from cyclesat.encoding import encode_axioms, lex_leader_clauses
 from cyclesat.oracle import brute_force_all, is_lex_min, lex_min_reps
 from cyclesat.run import BACKENDS, RunConfig, render_stats_table, run_enumerate
-from cyclesat.solver import Solver
+from cyclesat.solver import PropagatorHooks, Solver
 from cyclesat.symmetry import PARTITIONS_MAX_N, representative_diagonals
 
 
@@ -238,10 +239,9 @@ def test_stats_out_counts_the_variables_and_axiom_clauses(tmp_path):
         _, num_vars = lex_leader_clauses(cnf.varmap, cnf.num_vars + 1)
         assert data[d.label()]["variables"] == num_vars, d.label()
         assert data[d.label()]["axiom_clauses"] == len(cnf.clauses), d.label()
-        # every ExactlyOne group has at most 4 literals, so no auxiliaries;
-        # each of the 6 pairs i < j has heads for the 2 values of k other
-        # than i and j, 4 each
-        assert cnf.num_vars == cnf.varmap.num_matrix_vars + 6 * 2 * 4
+        # every ExactlyOne group has 3 literals, so no auxiliaries: the
+        # axiom CNF has the matrix variables alone
+        assert cnf.num_vars == cnf.varmap.num_matrix_vars
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -481,6 +481,46 @@ def test_cli_dimacs_dump(tmp_path):
     for b in bases:
         assert (dump / (b + ".cnf")).read_text().startswith("p cnf ")
         assert (dump / (b + ".vars")).read_text().startswith("v ")
+
+
+def dumped_models(base, diag):
+    """The cycle sets that are models of a dumped DIMACS file, decoded
+    through its variable map, each model blocked on its matrix variables."""
+    header, *lines = base.with_suffix(".cnf").read_text().splitlines()
+    clauses = [[int(t) for t in line.split()[:-1]] for line in lines]
+    cells = {}  # matrix variable -> (i, j, k)
+    for line in base.with_suffix(".vars").read_text().splitlines():
+        i, j, k, var = map(int, line.split()[1:])
+        cells[var] = (i, j, k)
+    solver = Solver(int(header.split()[2]))
+    solver.add_cnf(clauses)
+    found = []
+
+    def record_and_block(model):
+        entries = {(i, i): diag.value(i) for i in range(1, diag.n + 1)}
+        entries.update({(i, j): k for var, (i, j, k) in cells.items() if model[var]})
+        found.append(CycleSet(diag.n, [entries[(i, j)] for i in range(1, diag.n + 1)
+                                       for j in range(1, diag.n + 1)]))
+        return [-var for var in cells if model[var]]
+
+    solver.solve(hooks=PropagatorHooks(on_complete=record_and_block))
+    return found
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cli_dimacs_dump_is_the_complete_axiom_cnf(tmp_path, n):
+    # the search leaves the cycloid equation for k outside {i, j} to its
+    # propagator; the dumped CNF carries it, so its models alone are the
+    # cycle sets of the diagonal (at n = 4 the search's CNF alone has 56
+    # more on the identity)
+    dump = tmp_path / "cnf"
+    assert run_cli("enumerate", "--size", str(n), "--out", str(tmp_path / "out.txt"),
+                   "--dimacs-dump", str(dump)) == 0
+    everything = brute_force_all(n)
+    for diag in representative_diagonals(n):
+        tag = diag.label().replace(" ", "").replace(")(", "_").strip("()")
+        got = sorted(dumped_models(dump / f"axioms_n{n}_{tag}", diag))
+        assert got == sorted(c for c in everything if c.diagonal_values() == diag.values()), diag.label()
 
 
 def test_cli_trace_log(tmp_path):

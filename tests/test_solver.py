@@ -299,22 +299,22 @@ def test_watch_lists_stay_consistent_through_search(data):
 # on purpose re-records them and says so in CHANGES.md.
 PINNED_N5_SEARCH = {
     "backtrack": {
-        "(1 2 3 4 5)": (15, 16, 803, 0, 11),
-        "(1 2 3 4)": (35, 31, 1909, 0, 23),
-        "(1 2 3)(4 5)": (20, 19, 1306, 0, 14),
-        "(1 2 3)": (26, 25, 1552, 0, 19),
-        "(1 2)(3 4)": (57, 43, 2957, 0, 39),
-        "(1 2)": (57, 45, 4234, 0, 42),
-        "id": (84, 76, 5880, 0, 73),
+        "(1 2 3 4 5)": (15, 16, 470, 0, 11),
+        "(1 2 3 4)": (37, 35, 832, 0, 28),
+        "(1 2 3)(4 5)": (21, 20, 583, 0, 15),
+        "(1 2 3)": (26, 25, 624, 0, 19),
+        "(1 2)(3 4)": (65, 50, 1173, 0, 46),
+        "(1 2)": (64, 48, 1553, 0, 45),
+        "id": (99, 91, 3045, 0, 88),
     },
     "incremental": {
-        "(1 2 3 4 5)": (15, 16, 803, 0, 11, (5, 1341)),
-        "(1 2 3 4)": (35, 31, 1909, 0, 23, (39, 9014)),
-        "(1 2 3)(4 5)": (20, 19, 1306, 0, 14, (35, 6949)),
-        "(1 2 3)": (26, 25, 1552, 0, 19, (44, 8565)),
-        "(1 2)(3 4)": (57, 43, 2957, 0, 39, (64, 10394)),
-        "(1 2)": (57, 45, 4234, 0, 42, (107, 16489)),
-        "id": (84, 76, 5890, 0, 73, (371, 26970)),
+        "(1 2 3 4 5)": (15, 16, 470, 0, 11, (5, 1341)),
+        "(1 2 3 4)": (37, 35, 832, 0, 28, (39, 9014)),
+        "(1 2 3)(4 5)": (21, 20, 583, 0, 15, (35, 6949)),
+        "(1 2 3)": (26, 25, 624, 0, 19, (44, 8565)),
+        "(1 2)(3 4)": (65, 50, 1173, 0, 46, (64, 10394)),
+        "(1 2)": (64, 48, 1553, 0, 45, (107, 16489)),
+        "id": (99, 91, 3044, 0, 88, (374, 27688)),
     },
 }
 
