@@ -56,9 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_writable(path: str):
-    """Open `path` for appending, as writing the stats or the trace later
-    would need, and remove it again if this created it; raises OSError when
-    it cannot be written."""
+    """Open `path` for appending, as writing the trace later would need,
+    and remove it again if this created it; raises OSError when it cannot
+    be written."""
     existed = os.path.lexists(path)
     with open(path, "a", encoding="utf-8"):
         pass
@@ -67,10 +67,10 @@ def _check_writable(path: str):
 
 
 def _check_out_writable(path: str):
-    """Do what `write_solutions` will do with `path`: create and remove its
-    temporary file, or, for a file it writes in place, test write access
-    without opening it (opening a FIFO waits for a reader); raises OSError
-    when it cannot be written."""
+    """Do what `write_solutions` and `write_stats` will do with `path`:
+    create and remove its temporary file, or, for a file they write in
+    place, test write access without opening it (opening a FIFO waits for
+    a reader); raises OSError when it cannot be written."""
     tmp = solutions_temp_path(path)
     if tmp is None:
         if os.path.isdir(path):
@@ -111,7 +111,10 @@ def _cmd_enumerate(args) -> int:
     # --out reads "-" as stdout, the stats and the trace go to a file of
     # that name
     outputs = [(args.out, _check_out_writable)] if args.out != "-" else []
-    outputs += [(path, _check_writable) for path in (args.stats_out, config.trace_path) if path is not None]
+    if args.stats_out is not None:
+        outputs.append((args.stats_out, _check_out_writable))
+    if config.trace_path is not None:
+        outputs.append((config.trace_path, _check_writable))
     if config.dimacs_dir:
         outputs.append((config.dimacs_dir, _check_dir_writable))
     for path, check in outputs:

@@ -70,10 +70,11 @@ class _Tables:
     `cycle[x]` onto `cycle[y]` point by point; `classmates[x]` are the
     points of x's cycle length, ascending (only same-length cycles map
     onto each other); `cells` are the off-diagonal cells (i, j, flat
-    index), row-major; `row_base[a] + b` is the flat index of cell (a, b).
+    index), row-major; `row_base[a] + b` is the flat index of cell (a, b);
+    `step[y][v]` is the t with `cycle[y][t] == v`, or -1 off y's cycle.
     """
 
-    __slots__ = ("n", "cycle", "classmates", "cells", "row_base")
+    __slots__ = ("n", "cycle", "classmates", "cells", "row_base", "step")
 
     def __init__(self, diagonal: Diagonal):
         n = diagonal.n
@@ -89,6 +90,10 @@ class _Tables:
         self.cells = [(i, j, (i - 1) * n + j - 1)
                       for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
         self.row_base = [(a - 1) * n - 1 for a in range(n + 1)]
+        self.step = [[-1] * (n + 1) for _ in range(n + 1)]
+        for y in range(1, n + 1):
+            for t, v in enumerate(self.cycle[y]):
+                self.step[y][v] = t
 
 
 @lru_cache(maxsize=64)
@@ -111,6 +116,25 @@ def _completion(t: _Tables, fwd: list[int], inv: list[int]) -> Permutation:
     return Permutation(img[1:])
 
 
+def _closure(orbit: int, new: int, gens: list[list[int]]) -> int:
+    """The points of `orbit` and `new`, closed under the permutations
+    `gens` given `orbit` is closed; point z is bit z."""
+    orbit |= new
+    while new and gens:
+        grown = 0
+        while new:
+            low = new & -new
+            new ^= low
+            z = low.bit_length() - 1
+            for g in gens:
+                w = 1 << g[z]
+                if not orbit & w:
+                    orbit |= w
+                    grown |= w
+        new = grown
+    return orbit
+
+
 def _search(p: PartialCycleSet, t: _Tables, complete: bool, nodes: Optional[dict]) -> MinCheckOutcome:
     """Depth-first search over partial centralizer permutations.
 
@@ -123,6 +147,17 @@ def _search(p: PartialCycleSet, t: _Tables, complete: bool, nodes: Optional[dict
     of that value prunes above the bound, is a witness below it, and at it
     the scan goes on in the same frame.  Any later classmate would exceed
     the bound, so branching there would take the same steps.
+
+    A complete check prunes twice more.  A branch that compares every cell
+    equal ends in an automorphism of the matrix, and a branching frame
+    skips a candidate image that the automorphisms fixing every image
+    already taken map an explored sibling onto: composing with such an
+    automorphism maps the skipped subtree's permutations onto the
+    explored one's, with the same images of the matrix (orbit pruning,
+    McKay and Piperno 2014).  And a cell (i, j) with i fixed and j free is
+    passed over when every free classmate y of j would compare it equal
+    once j's cycle went onto y's, which holds for any later choice too;
+    row j then fixes j.
     """
     n = t.n
     doms = p.domains
@@ -132,28 +167,70 @@ def _search(p: PartialCycleSet, t: _Tables, complete: bool, nodes: Optional[dict
         lo = [(m & -m).bit_length() for m in doms]
         # a cell's value when it has one, else 0
         val = [0 if m & (m - 1) else m.bit_length() for m in doms]
-    cycle, classmates, cells, row_base = t.cycle, t.classmates, t.cells, t.row_base
+    cycle, classmates, cells, row_base, step = t.cycle, t.classmates, t.cells, t.row_base, t.step
     ncells = len(cells)
     limit = sys.maxsize if complete else PARTIAL_NODE_LIMIT
     fwd = [0] * (n + 1)
     inv = [0] * (n + 1)
     trail: list[int] = []
     count = 0
+    pruned = 0
+    # complete checks: the automorphisms met so far, each with the mask of
+    # the points it fixes
+    autos: list[tuple[list[int], int]] = []
+    identity = (1 << (n + 1)) - 2
 
     def dfs(k):
-        nonlocal count
+        nonlocal count, pruned
         for k in range(k, ncells):
             i, j, c = cells[k]
             a = fwd[i]
             b = fwd[j]
             if not (a and b):
+                if a and complete:
+                    # pass over (i, j) if every image of j compares it equal
+                    d = val[c]
+                    row = row_base[a]
+                    cj = cycle[j]
+                    for y in classmates[j]:
+                        if inv[y]:
+                            continue
+                        v = val[row + y]
+                        u = inv[v]
+                        if not u:
+                            s = step[y][v]
+                            if s < 0:
+                                break
+                            u = cj[s]
+                        if u != d:
+                            break
+                    else:
+                        continue
                 # branch on the image of x's cycle
                 x = j if a else i
                 cx = cycle[x]
                 mark = len(trail)
+                # complete checks: the explored siblings, and their orbit
+                # under `gens`, those of the first `seen` automorphisms
+                # that fix every image taken
+                explored = orbit = 0
+                seen = -1
                 for y in classmates[x]:
                     if inv[y]:
                         continue
+                    if explored:
+                        if seen != len(autos):
+                            if seen < 0:
+                                taken = 0
+                                for src in trail:
+                                    taken |= 1 << fwd[src]
+                            seen = len(autos)
+                            gens = [g for g, fixed in autos if fixed & taken == taken]
+                            orbit = 0
+                        orbit = _closure(orbit, explored & ~orbit, gens)
+                        if orbit >> y & 1:
+                            pruned += 1
+                            continue
                     count += 1
                     if count > limit:
                         raise _BudgetExhausted
@@ -173,6 +250,8 @@ def _search(p: PartialCycleSet, t: _Tables, complete: bool, nodes: Optional[dict
                         src = trail.pop()
                         inv[fwd[src]] = 0
                         fwd[src] = 0
+                    if complete:
+                        explored |= 1 << y
                 return None
             d = lo[c]
             img = row_base[a] + b
@@ -247,6 +326,15 @@ def _search(p: PartialCycleSet, t: _Tables, complete: bool, nodes: Optional[dict
                 out = _try_propagate(p, t, fwd, inv, c, img)
                 if out is not None:
                     return out
+        if complete:
+            # every cell compared equal, and every point is fixed, being
+            # some cell's row: fwd is an automorphism
+            fixed = 0
+            for z in range(1, n + 1):
+                if fwd[z] == z:
+                    fixed |= 1 << z
+            if fixed != identity:
+                autos.append((fwd[:], fixed))
         return None
 
     try:
@@ -254,7 +342,11 @@ def _search(p: PartialCycleSet, t: _Tables, complete: bool, nodes: Optional[dict
     except _BudgetExhausted:
         out = Unknown()
     if nodes is not None:
-        nodes["complete" if complete else "partial"] += count
+        if complete:
+            nodes["complete"] += count
+            nodes["orbit_pruned"] += pruned
+        else:
+            nodes["partial"] += count
     return out if out is not None else Minimal()
 
 
@@ -298,9 +390,10 @@ def check(p: PartialCycleSet, diagonal: Diagonal, *, complete: bool,
     A complete input always runs to completion.
 
     When `nodes` is given, the search adds the nodes it spent to its
-    "complete" or "partial" entry, by the kind of check.  A node is one
-    fixed cycle, and a partial check that runs out of budget counts the
-    node over the limit as well.
+    "complete" or "partial" entry, by the kind of check, and a complete
+    check adds the sibling branches it skipped by orbit pruning to its
+    "orbit_pruned" entry.  A node is one fixed cycle, and a partial check
+    that runs out of budget counts the node over the limit as well.
     """
     if complete and not p.is_complete():
         raise ValueError("complete=True requires a fully defined cycle set")

@@ -87,8 +87,9 @@ class DiagStats:
         "complete_minimal": 0.0,
     })
     total_time: float = 0.0
-    # nodes of the backtracking search, summed over its checks of each kind
-    check_nodes: dict = field(default_factory=lambda: {"partial": 0, "complete": 0})
+    # nodes of the backtracking search, summed over its checks of each kind,
+    # and the siblings its complete checks skipped by orbit pruning
+    check_nodes: dict = field(default_factory=lambda: {"partial": 0, "complete": 0, "orbit_pruned": 0})
     # Solver.stats(): the search counters and the cycloid propagator's
     engine: dict = field(default_factory=dict)
     # the solver's variables (lex-leader chain variables included), the
@@ -259,8 +260,9 @@ def run_enumerate(config: RunConfig) -> tuple[list[CycleSet], dict]:
 
 
 def solutions_temp_path(path: str) -> Optional[str]:
-    """The temporary name `write_solutions` writes `path` under before
-    renaming it onto `path`, or None when it writes `path` in place.
+    """The temporary name `write_solutions` and `write_stats` write `path`
+    under before renaming it onto `path`, or None when they write `path`
+    in place.
 
     An existing file that is not a regular file (a device such as
     /dev/null, a FIFO, a terminal, a directory) is written in place:
@@ -272,37 +274,46 @@ def solutions_temp_path(path: str) -> Optional[str]:
     return f"{os.path.realpath(path)}.{os.getpid()}.tmp"
 
 
-def write_solutions(solutions: list[CycleSet], path: Optional[str]):
-    """One line per cycle set, to `path` or, for None or "-", to stdout.
+def _replace_file(path: str, write):
+    """Call `write` on a text file that then replaces `path`.
 
     A regular or new file is written under `solutions_temp_path(path)` in
     the same directory and renamed onto `path`, so an interrupted write
     leaves no partial file and whatever was at `path` before stays as it
     was.  Any other existing file is written in place.
     """
-    lines = (c.to_line() + "\n" for c in solutions)
-    if path is None or path == "-":
-        sys.stdout.writelines(lines)
-        return
     tmp = solutions_temp_path(path)
     if tmp is None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+            write(fh)
         return
     fh = open(tmp, "w", encoding="utf-8")
     try:
         with fh:
-            fh.writelines(lines)
+            write(fh)
         os.replace(tmp, os.path.realpath(path))
     except BaseException:
         os.remove(tmp)
         raise
 
 
+def write_solutions(solutions: list[CycleSet], path: Optional[str]):
+    """One line per cycle set, to `path` (through `_replace_file`) or,
+    for None or "-", to stdout."""
+    lines = (c.to_line() + "\n" for c in solutions)
+    if path is None or path == "-":
+        sys.stdout.writelines(lines)
+        return
+    _replace_file(path, lambda fh: fh.writelines(lines))
+
+
 def write_stats(stats: dict, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
+    """The stats as indented JSON, to `path` through `_replace_file`."""
+    def write(fh):
         json.dump(stats, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+    _replace_file(path, write)
 
 
 def render_stats_table(stats: dict) -> str:

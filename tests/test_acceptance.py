@@ -69,6 +69,7 @@ def criterion(num, label):
 
 ENGINE_KEYS = ("decisions", "conflicts", "propagations", "restarts", "learned")
 CYCLOID_KEYS = ("cycloid_checks", "cycloid_implied", "cycloid_conflicts")
+NODE_KEYS = ("complete", "partial", "orbit_pruned")
 OUTCOME_KEYS = ("partial_witness", "partial_propagate", "partial_minimal", "partial_unknown", "complete_witness")
 
 
@@ -76,16 +77,17 @@ OUTCOME_KEYS = ("partial_witness", "partial_propagate", "partial_minimal", "part
 def enumerate_run(n, backend):
     """Sorted output lines of a full run, with its engine counters and
     check outcomes summed over the diagonals (in ENGINE_KEYS and
-    OUTCOME_KEYS order), the backtracking search's nodes summed over
-    the diagonals, (complete, partial), and the cycloid propagator's
-    counters summed over the diagonals, in CYCLOID_KEYS order."""
+    OUTCOME_KEYS order), the backtracking search's nodes and orbit-pruned
+    siblings summed over the diagonals, in NODE_KEYS order, and the
+    cycloid propagator's counters summed over the diagonals, in
+    CYCLOID_KEYS order."""
     t0 = time.perf_counter()
     sols, stats = run_enumerate(RunConfig(n=n, backend=backend))
     elapsed = time.perf_counter() - t0
     print(f"  [n={n} {backend}] {len(sols)} solutions in {elapsed:.1f}s")
     engine = tuple(sum(st["engine"][k] for st in stats.values()) for k in ENGINE_KEYS)
     outcomes = tuple(sum(st["outcomes"][k] for st in stats.values()) for k in OUTCOME_KEYS)
-    nodes = tuple(sum(st["check_nodes"][k] for st in stats.values()) for k in ("complete", "partial"))
+    nodes = tuple(sum(st["check_nodes"][k] for st in stats.values()) for k in NODE_KEYS)
     cycloid = tuple(sum(st["engine"][k] for st in stats.values()) for k in CYCLOID_KEYS)
     return tuple(c.to_line() for c in sols), (engine, outcomes), nodes, cycloid
 
@@ -146,15 +148,16 @@ def test_cycloid_counters_pinned_n6_n7():
 
 
 # (complete, partial) nodes of the backtracking search in criterion 1's
-# runs, labelling 0; the incremental backend sends it partial states only.
+# runs, labelling 0, and the sibling branches its complete checks skipped
+# by orbit pruning; the incremental backend sends it partial states only.
 # A change to the search that keeps its branching order must reproduce them.
 PINNED_CHECK_NODES = {
-    (5, "backtrack"): (4325, 191),
-    (5, "incremental"): (0, 191),
-    (6, "backtrack"): (75401, 3059),
-    (6, "incremental"): (0, 3094),
-    (7, "backtrack"): (1663544, 28013),
-    (7, "incremental"): (0, 28459),
+    (5, "backtrack"): (1499, 191, 376),
+    (5, "incremental"): (0, 191, 0),
+    (6, "backtrack"): (15762, 3059, 4932),
+    (6, "incremental"): (0, 3094, 0),
+    (7, "backtrack"): (170773, 28013, 59835),
+    (7, "incremental"): (0, 28459, 0),
 }
 
 

@@ -277,25 +277,34 @@ class HalfWrittenFile:
 
 
 def test_interrupted_write_keeps_the_previous_output(tmp_path, monkeypatch):
-    out = tmp_path / "out.txt"
-    out.write_text("kept\n")
-    sols, _ = run_enumerate(RunConfig(n=4, backend="backtrack"))
-    opened = []
+    # the solutions and the stats alike
+    sols, stats = run_enumerate(RunConfig(n=4, backend="backtrack"))
+    writes = [
+        ("out.txt", lambda path: run.write_solutions(sols, path),
+         "".join(c.to_line() + "\n" for c in sols)),
+        ("stats.json", lambda path: run.write_stats(stats, path),
+         json.dumps(stats, indent=2, sort_keys=True) + "\n"),
+    ]
+    for name, write, text in writes:
+        out = tmp_path / name
+        out.write_text("kept\n")
+        opened = []
 
-    def half_written_open(*args, **kwargs):
-        opened.append(args[0])
-        return HalfWrittenFile(open(*args, **kwargs))
+        def half_written_open(*args, **kwargs):
+            opened.append(args[0])
+            return HalfWrittenFile(open(*args, **kwargs))
 
-    monkeypatch.setattr(run, "open", half_written_open, raising=False)
-    with pytest.raises(KeyboardInterrupt):
-        run.write_solutions(sols, str(out))
-    assert len(opened) == 1
-    assert out.read_text() == "kept\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
-    monkeypatch.undo()
-    run.write_solutions(sols, str(out))
-    assert out.read_text() == "".join(c.to_line() + "\n" for c in sols)
-    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        monkeypatch.setattr(run, "open", half_written_open, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            write(str(out))
+        assert len(opened) == 1
+        assert out.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        monkeypatch.undo()
+        write(str(out))
+        assert out.read_text() == text
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        out.unlink()
 
 
 def test_out_through_a_symlink_replaces_the_file_it_names(tmp_path):
