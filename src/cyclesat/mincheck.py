@@ -341,6 +341,10 @@ def _search(p: PartialCycleSet, t: _Tables, complete: bool, nodes: Optional[dict
         out = dfs(0)
     except _BudgetExhausted:
         out = Unknown()
+    # dfs refers to itself through its closure: unbinding it frees the
+    # search's state (the automorphisms too) now, not at the next cyclic
+    # garbage collection
+    del dfs
     if nodes is not None:
         if complete:
             nodes["complete"] += count
