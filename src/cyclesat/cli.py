@@ -7,12 +7,11 @@ import errno
 import json
 import os
 import sys
-import tempfile
 
 from .errors import DatabaseParseError, PropagatorContractViolation
 from .oracle import verify_database
-from .run import (BACKENDS, RunConfig, render_stats_table, run_enumerate, solutions_temp_path, write_solutions,
-                  write_stats)
+from .run import (BACKENDS, RunConfig, dump_dimacs, render_stats_table, run_enumerate, solutions_temp_path,
+                  write_solutions, write_stats)
 from .symmetry import Diagonal
 
 
@@ -38,10 +37,13 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--seed", type=int, default=RunConfig.seed,
                       help="accepted for compatibility; has no effect, since branching is static")
     enum.add_argument("--dimacs-dump", metavar="DIR",
-                      help="dump the axiom CNFs and variable maps here (axioms only, without the "
-                           "symmetry-breaking clauses the search adds)")
+                      help="before enumerating, write the axiom CNFs and variable maps here, each file "
+                           "through a temporary file (axioms only, without the symmetry-breaking "
+                           "clauses the search adds)")
     enum.add_argument("--trace", metavar="PATH",
-                      help="append a conflict/restart log here, one block per diagonal in selection order")
+                      help="append a conflict/restart log here, one block per diagonal in selection "
+                           "order, by writing the old content and the new blocks to a temporary file "
+                           "that replaces it")
     enum.add_argument("--raw-order", action="store_true", help="emit solutions in solver order instead of sorting")
 
     ver = sub.add_parser("verify", help="check a solution database file")
@@ -55,22 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_writable(path: str):
-    """Open `path` for appending, as writing the trace later would need,
-    and remove it again if this created it; raises OSError when it cannot
-    be written."""
-    existed = os.path.lexists(path)
-    with open(path, "a", encoding="utf-8"):
-        pass
-    if not existed:
-        os.remove(path)
-
-
 def _check_out_writable(path: str):
-    """Do what `write_solutions` and `write_stats` will do with `path`:
-    create and remove its temporary file, or, for a file they write in
-    place, test write access without opening it (opening a FIFO waits for
-    a reader); raises OSError when it cannot be written."""
+    """Do what `run._replace_file` will do with `path`: create and remove
+    its temporary file, or, for a file it writes in place, test write
+    access without opening it (opening a FIFO waits for a reader); raises
+    OSError when it cannot be written."""
     tmp = solutions_temp_path(path)
     if tmp is None:
         if os.path.isdir(path):
@@ -83,14 +74,6 @@ def _check_out_writable(path: str):
     os.remove(tmp)
 
 
-def _check_dir_writable(path: str):
-    """Create the directory `path` if missing, as the run would, and write a
-    scratch file in it; raises OSError when it is not a writable directory."""
-    os.makedirs(path, exist_ok=True)
-    with tempfile.TemporaryFile(dir=path):
-        pass
-
-
 def _cmd_enumerate(args) -> int:
     try:
         config = RunConfig(
@@ -100,26 +83,24 @@ def _cmd_enumerate(args) -> int:
             eo_method=args.eo,
             workers=args.workers,
             seed=args.seed,
-            dimacs_dir=args.dimacs_dump,
             trace_path=args.trace,
             sorted_output=not args.raw_order,
         )
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    # fail before a possibly hours-long enumeration, not after it; only
-    # --out reads "-" as stdout, the stats and the trace go to a file of
-    # that name
-    outputs = [(args.out, _check_out_writable)] if args.out != "-" else []
-    if args.stats_out is not None:
-        outputs.append((args.stats_out, _check_out_writable))
-    if config.trace_path is not None:
-        outputs.append((config.trace_path, _check_writable))
-    if config.dimacs_dir:
-        outputs.append((config.dimacs_dir, _check_dir_writable))
-    for path, check in outputs:
+    # fail before a possibly hours-long enumeration, not after it: probe
+    # each output file, then write the DIMACS dump, which needs no search;
+    # only --out reads "-" as stdout, the stats and the trace go to a file
+    # of that name
+    outputs = [args.out] if args.out != "-" else []
+    outputs += [path for path in (args.stats_out, args.trace) if path is not None]
+    steps = [(path, _check_out_writable) for path in outputs]
+    if args.dimacs_dump:
+        steps.append((args.dimacs_dump, lambda path: dump_dimacs(config, path)))
+    for path, step in steps:
         try:
-            check(path)
+            step(path)
         except OSError as exc:
             print(f"cannot write {path}: {exc}", file=sys.stderr)
             return 2

@@ -9,7 +9,10 @@ minimality backend on every full assignment and, every PARTIAL_FREQUENCY-th
 decision, the backtracking check on a partial one; a minimal model is
 recorded and blocked, a non-minimal one cut off with a breaking clause.
 Diagonals can run in separate processes; results are merged and sorted
-afterwards, so the worker count never changes the output.
+afterwards, so the worker count never changes the output.  The search
+does no file I/O: the trace, the solutions, the stats and the DIMACS dump
+are each written through `_replace_file`, so an interrupted write leaves
+whatever was there before.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import shutil
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -47,7 +51,6 @@ class RunConfig:
     eo_method: str = "binary"
     workers: int = 1
     seed: int = 0
-    dimacs_dir: Optional[str] = None
     trace_path: Optional[str] = None
     sorted_output: bool = True
 
@@ -168,8 +171,6 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
     """Enumerate all lexicographically minimal cycle sets for one diagonal."""
     t0 = time.perf_counter()
     cnf = encode_axioms(config.n, diagonal, config.eo_method)
-    if config.dimacs_dir:
-        _dump_dimacs(config, diagonal)
     symmetry_clauses, num_vars = lex_leader_clauses(cnf.varmap, cnf.num_vars + 1)
     solver = Solver(num_vars, num_static=cnf.varmap.num_matrix_vars, seed=config.seed)
     if config.trace_path:
@@ -199,31 +200,31 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
     return hooks_impl.solutions, st
 
 
-def _dump_dimacs(config: RunConfig, diagonal: Diagonal):
-    """The complete axiom CNF, `reference_cnf`, and its variable map."""
-    cnf = reference_cnf(config.n, diagonal, config.eo_method)
-    os.makedirs(config.dimacs_dir, exist_ok=True)
-    # "id" -> "_id", "(1 2)(3 4)" -> "_12_34"
-    tag = diagonal.label().replace(" ", "").replace(")(", "_").strip("()")
-    base = os.path.join(config.dimacs_dir, f"axioms_n{config.n}_{tag}")
-    with open(base + ".cnf", "w", encoding="utf-8") as fh:
-        fh.write(cnf.to_dimacs())
-    with open(base + ".vars", "w", encoding="utf-8") as fh:
-        fh.write(cnf.varmap.sidecar_text())
-
-
 def selected_diagonals(config: RunConfig) -> list[Diagonal]:
     if config.diagonal in (None, "all"):
         return representative_diagonals(config.n)
     return [Diagonal.parse(config.diagonal, config.n)]
 
 
-def _worker(payload: tuple) -> tuple[str, list[str], dict]:
+def dump_dimacs(config: RunConfig, directory: str):
+    """Write each selected diagonal's complete axiom CNF, `reference_cnf`,
+    and its variable map into `directory`, each file through `_replace_file`."""
+    os.makedirs(directory, exist_ok=True)
+    for diagonal in selected_diagonals(config):
+        cnf = reference_cnf(config.n, diagonal, config.eo_method)
+        # "id" -> "_id", "(1 2)(3 4)" -> "_12_34"
+        tag = diagonal.label().replace(" ", "").replace(")(", "_").strip("()")
+        base = os.path.join(directory, f"axioms_n{config.n}_{tag}")
+        _replace_file(base + ".cnf", lambda fh: fh.write(cnf.to_dimacs()))
+        _replace_file(base + ".vars", lambda fh: fh.write(cnf.varmap.sidecar_text()))
+
+
+def _worker(payload: tuple) -> tuple[str, list[CycleSet], dict]:
     config_dict, label = payload
     config = RunConfig(**config_dict)
     diagonal = Diagonal.parse(label, config.n)
     sols, st = enumerate_diagonal(config, diagonal)
-    return label, [c.to_line() for c in sols], asdict(st)
+    return label, sols, asdict(st)
 
 
 def run_enumerate(config: RunConfig) -> tuple[list[CycleSet], dict]:
@@ -237,8 +238,8 @@ def run_enumerate(config: RunConfig) -> tuple[list[CycleSet], dict]:
         longest_first = sorted(diagonals, key=Diagonal.centralizer_order, reverse=True)
         payloads = [(asdict(config), d.label()) for d in longest_first]
         with ProcessPoolExecutor(max_workers=min(config.workers, len(diagonals))) as pool:
-            for label, lines, st in pool.map(_worker, payloads):
-                per_diag[label] = [CycleSet.from_line(s) for s in lines]
+            for label, sols, st in pool.map(_worker, payloads):
+                per_diag[label] = sols
                 stats[label] = st
         stats = {d.label(): stats[d.label()] for d in diagonals}
     else:
@@ -254,15 +255,22 @@ def run_enumerate(config: RunConfig) -> tuple[list[CycleSet], dict]:
     # one block per diagonal in selection order, whichever worker ran it
     blocks = [f"# diagonal {label}\n{st.pop('trace')}" for label, st in stats.items()]
     if config.trace_path:
-        with open(config.trace_path, "a", encoding="utf-8") as fh:
-            fh.writelines(blocks)
+        _replace_file(config.trace_path, lambda fh: _append_to(config.trace_path, fh, blocks))
     return merged, stats
 
 
+def _append_to(path: str, fh, blocks: list[str]):
+    """Write `path`'s current content, byte for byte, then `blocks` to `fh`:
+    `--trace` appends to its file."""
+    if os.path.isfile(path):
+        with open(path, "rb") as old:
+            shutil.copyfileobj(old, fh.buffer)
+    fh.writelines(blocks)
+
+
 def solutions_temp_path(path: str) -> Optional[str]:
-    """The temporary name `write_solutions` and `write_stats` write `path`
-    under before renaming it onto `path`, or None when they write `path`
-    in place.
+    """The temporary name `_replace_file` writes `path` under before
+    renaming it onto `path`, or None when it writes `path` in place.
 
     An existing file that is not a regular file (a device such as
     /dev/null, a FIFO, a terminal, a directory) is written in place:

@@ -1,6 +1,8 @@
+import argparse
 import errno
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -8,14 +10,14 @@ import threading
 
 import pytest
 
-from cyclesat import cli, run
+from cyclesat import cli, encoding, run
 from cyclesat.cli import main
 from cyclesat.cycleset import CycleSet
-from cyclesat.encoding import encode_axioms, lex_leader_clauses
+from cyclesat.encoding import encode_axioms, lex_leader_clauses, reference_cnf
 from cyclesat.oracle import brute_force_all, is_lex_min, lex_min_reps
 from cyclesat.run import BACKENDS, RunConfig, render_stats_table, run_enumerate
 from cyclesat.solver import PropagatorHooks, Solver
-from cyclesat.symmetry import PARTITIONS_MAX_N, representative_diagonals
+from cyclesat.symmetry import PARTITIONS_MAX_N, Diagonal, representative_diagonals
 
 
 @pytest.mark.parametrize("backend", ["backtrack", "incremental"])
@@ -260,6 +262,7 @@ class HalfWrittenFile:
 
     def __init__(self, fh):
         self.fh = fh
+        self.buffer = fh.buffer  # bytes copied through it are written whole
 
     def __enter__(self):
         return self
@@ -277,22 +280,36 @@ class HalfWrittenFile:
 
 
 def test_interrupted_write_keeps_the_previous_output(tmp_path, monkeypatch):
-    # the solutions and the stats alike
+    # the solutions, the stats, the trace and the DIMACS dump alike
     sols, stats = run_enumerate(RunConfig(n=4, backend="backtrack"))
+    fresh = tmp_path / "fresh.log"
+    run_enumerate(RunConfig(n=3, trace_path=str(fresh)))
+    blocks = fresh.read_text()
+    fresh.unlink()
+    dump = RunConfig(n=3, diagonal="(1 2)")
     writes = [
         ("out.txt", lambda path: run.write_solutions(sols, path),
-         "".join(c.to_line() + "\n" for c in sols)),
+         "".join(c.to_line() + "\n" for c in sols), []),
         ("stats.json", lambda path: run.write_stats(stats, path),
-         json.dumps(stats, indent=2, sort_keys=True) + "\n"),
+         json.dumps(stats, indent=2, sort_keys=True) + "\n", []),
+        # the trace is appended to: the old content, then the new blocks
+        ("trace.log", lambda path: run_enumerate(RunConfig(n=3, trace_path=path)),
+         "kept\n" + blocks, []),
+        # the first of the dump's two files; the second follows it
+        ("axioms_n3_12.cnf", lambda path: run.dump_dimacs(dump, os.path.dirname(path)),
+         reference_cnf(3, Diagonal.parse("(1 2)", 3), dump.eo_method).to_dimacs(), ["axioms_n3_12.vars"]),
     ]
-    for name, write, text in writes:
+    for name, write, text, also in writes:
         out = tmp_path / name
         out.write_text("kept\n")
         opened = []
 
-        def half_written_open(*args, **kwargs):
-            opened.append(args[0])
-            return HalfWrittenFile(open(*args, **kwargs))
+        def half_written_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            if "w" not in mode:  # the trace's previous content, read back
+                return fh
+            opened.append(file)
+            return HalfWrittenFile(fh)
 
         monkeypatch.setattr(run, "open", half_written_open, raising=False)
         with pytest.raises(KeyboardInterrupt):
@@ -303,8 +320,9 @@ def test_interrupted_write_keeps_the_previous_output(tmp_path, monkeypatch):
         monkeypatch.undo()
         write(str(out))
         assert out.read_text() == text
-        assert [p.name for p in tmp_path.iterdir()] == [name]
-        out.unlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, *also])
+        for p in tmp_path.iterdir():
+            p.unlink()
 
 
 def test_out_through_a_symlink_replaces_the_file_it_names(tmp_path):
@@ -432,10 +450,11 @@ def test_cli_out_without_room_for_its_temp_file_exits_2(tmp_path, capsys, monkey
         return open(file, *args, **kwargs)
 
     monkeypatch.setattr(cli, "open", refusing_open, raising=False)
-    assert run_cli("enumerate", "--size", "3", "--out", str(out)) == 2
-    assert f"cannot write {out}: " in capsys.readouterr().err
-    assert out.read_text() == "kept\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["old.txt"]
+    for flag in ("--out", "--stats-out", "--trace"):
+        assert run_cli("enumerate", "--size", "3", flag, str(out)) == 2
+        assert f"cannot write {out}: " in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.txt"]
 
 
 def test_cli_out_onto_a_directory_exits_2(tmp_path, capsys, monkeypatch):
@@ -490,6 +509,24 @@ def test_cli_dimacs_dump(tmp_path):
     for b in bases:
         assert (dump / (b + ".cnf")).read_text().startswith("p cnf ")
         assert (dump / (b + ".vars")).read_text().startswith("v ")
+
+
+def test_cli_dimacs_dump_is_written_apart_from_the_search(tmp_path, monkeypatch):
+    # the CLI writes the dump before enumerating, and the search builds no
+    # reference CNF
+    monkeypatch.setattr(cli, "run_enumerate", lambda config: ([], {}))
+    dump = tmp_path / "cnf"
+    assert run_cli("enumerate", "--size", "4", "--dimacs-dump", str(dump)) == 0
+    bases = ["axioms_n4_id", "axioms_n4_12", "axioms_n4_12_34", "axioms_n4_123", "axioms_n4_1234"]
+    assert sorted(f.name for f in dump.iterdir()) == sorted(b + ext for b in bases for ext in (".cnf", ".vars"))
+
+    def refuse(*args):
+        raise AssertionError("the search built the reference CNF")
+
+    monkeypatch.setattr(encoding, "reference_cnf", refuse)
+    monkeypatch.setattr(run, "reference_cnf", refuse)
+    sols, st = run.enumerate_diagonal(RunConfig(n=4), Diagonal.parse("id", 4))
+    assert st.solutions == len(sols) > 0
 
 
 def dumped_models(base, diag):
@@ -554,6 +591,22 @@ def test_cli_raw_order_flag(tmp_path):
     assert run_cli("enumerate", "--size", "4", "--backend", "backtrack", "--out", str(sorted_out)) == 0
     assert run_cli("enumerate", "--size", "4", "--backend", "backtrack", "--raw-order", "--out", str(raw_out)) == 0
     assert sorted(sorted_out.read_text().splitlines()) == sorted(raw_out.read_text().splitlines())
+
+
+def test_readme_command_line_names_every_long_option():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [
+        (command, option)
+        for command in ("enumerate", "verify", "stats")
+        for action in commands.choices[command]._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+        and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", section)
+    ]
+    assert missing == []
 
 
 def test_package_exports_resolve():
