@@ -333,16 +333,16 @@ def test_decode_model_malformed():
 # how any of these instances is built must leave them byte-identical, or
 # say why they move.
 PINNED_CNF_DIGESTS = {
-    (2, "binary"): "90f78a2730a125ef504a0acc50a631bb9bafca01882bf9b4983b397a79b0c1a7",
-    (2, "commander"): "90f78a2730a125ef504a0acc50a631bb9bafca01882bf9b4983b397a79b0c1a7",
-    (3, "binary"): "5b3f6281c57ab2dc9cb79c9adfd9146c999f3d8d399c647ef3d366d5820fc8db",
-    (3, "commander"): "5b3f6281c57ab2dc9cb79c9adfd9146c999f3d8d399c647ef3d366d5820fc8db",
-    (4, "binary"): "787cc3c9d26b505e05c8859ad38bd9e81d8066c49d0923b81521e31fd545212c",
-    (4, "commander"): "e9ed0fa07d9bc6ea5ba6c53be76d3e21bcc2bcafaadddc7ded336c9a781ebe40",
-    (5, "binary"): "2607f786104b47523c1651518b67da2229e54bead1d4f507c5f7632ef6c7ba94",
-    (5, "commander"): "c508470b4cb9ae32a4c0f0a53eb7e4de06470790b70326c78eefa8a29540d6e7",
-    (6, "binary"): "d6f5b8d8acbc7f8eeb3e4f0718845f0b01819f1d719d7a24b37c6364c2050a30",
-    (6, "commander"): "8ea990b5dc0e2773680275060d825e875b995d20155a09f9b8c1db2d1818c001",
+    (2, "binary"): "235abed653cc389eb076522267dfb10be89114a9e4583fed6830f78818a4e86a",
+    (2, "commander"): "235abed653cc389eb076522267dfb10be89114a9e4583fed6830f78818a4e86a",
+    (3, "binary"): "ae9b5f4054ae4686fd5654ce805fb569bd325de7dbe7e680f9b5a5b3da154614",
+    (3, "commander"): "ae9b5f4054ae4686fd5654ce805fb569bd325de7dbe7e680f9b5a5b3da154614",
+    (4, "binary"): "d2e4ec7fd25b33cb3abdf4bc80bd2b8f4fd6f28e5d764ab1af1291a2aeb16169",
+    (4, "commander"): "724a52b8f66fea0c77276a9b90dcd5ae0d7ed7113c746bfaf19316222d077dc3",
+    (5, "binary"): "621aa1aed24757c4fb30d384286630d6d016546705b195b8f2dde302a8208572",
+    (5, "commander"): "682cb56186f58fccaebf9ea2f4f01e252a4d65a217c6fe75a8d445d6fc851c0a",
+    (6, "binary"): "5e113d2a5484698a2f4d7919f1aa1edb1b3bf178056bc59594fa2fd3b94eb941",
+    (6, "commander"): "98c693c67469b86502e06b4ec0dea83c2f96bf2d74716a4890cf197614248c1d",
 }
 
 

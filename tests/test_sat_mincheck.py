@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from cyclesat.cycleset import CycleSet, Permutation, apply_permutation
+from cyclesat.cycleset import CycleSet, PartialCycleSet, Permutation, apply_permutation
 from cyclesat.encoding import encode_axioms, matrix_literals
+from cyclesat.learning import breaking_clause
 from cyclesat.mincheck import Minimal, Witness
 from cyclesat.oracle import brute_force_all, is_lex_min
 from cyclesat.run import RunConfig, enumerate_diagonal
 from cyclesat.sat_mincheck import OracleInstance, check
+from cyclesat.solver import Solver
 from cyclesat.symmetry import Diagonal, fixes_diagonal, representative_diagonals
 
 
@@ -19,17 +21,56 @@ def test_n2_identity_lexmin_is_unsat():
 
 
 def test_complete_kind_matches_ground_truth_small():
+    # every diagonal that occurs, not only the representatives: the chain
+    # skips each row's last cell, which must hold wherever the fixed points
+    # sit between the moved ones
     for n in (2, 3, 4):
-        for diag in representative_diagonals(n):
-            inst = OracleInstance(diag)
-            for c in brute_force_all(n):
-                if c.diagonal_values() != diag.values():
-                    continue
+        by_diagonal = {}
+        for c in brute_force_all(n):
+            by_diagonal.setdefault(tuple(c.diagonal_values()), []).append(c)
+        for (values, mats), method in itertools.product(by_diagonal.items(), ("binary", "commander")):
+            diag = Diagonal.from_values(values)
+            inst = OracleInstance(diag, method)
+            for c in mats:
                 out = check(c, inst)
-                assert isinstance(out, Minimal) == is_lex_min(c, diag), c.to_line()
+                assert isinstance(out, Minimal) == is_lex_min(c, diag), (values, c.to_line())
                 if isinstance(out, Witness):
+                    assert out.perm != Permutation.identity(n)
                     assert fixes_diagonal(out.perm, diag)
                     assert apply_permutation(out.perm, c).entries < c.entries
+                    breaking_clause(PartialCycleSet.from_cycle_set(c), out.perm, inst.varmap)
+
+
+@pytest.mark.parametrize("method", ["binary", "commander"])
+def test_n2_instances_answer_minimal_for_every_input(method):
+    # every row of an n=2 matrix is its last cell, so nothing is compared
+    for diag in representative_diagonals(2):
+        inst = OracleInstance(diag, method)
+        num = inst.varmap.num_matrix_vars
+        for signs in itertools.product((1, -1), repeat=num):
+            res = inst.solver.solve([s * v for s, v in zip(signs, range(1, num + 1))])
+            assert res.status == "unsat", (diag.label(), signs)
+
+
+@pytest.mark.parametrize("method", ["binary", "commander"])
+def test_every_oracle_variable_occurs_in_a_clause(monkeypatch, method):
+    # a variable no clause mentions is still decided after every witness
+    loaded = []
+    add_cnf = Solver.add_cnf
+
+    def recording(self, clauses):
+        clauses = [list(cl) for cl in clauses]
+        loaded.extend(clauses)
+        return add_cnf(self, clauses)
+
+    monkeypatch.setattr(Solver, "add_cnf", recording)
+    for n in range(2, 8):
+        for diag in representative_diagonals(n):
+            loaded.clear()
+            inst = OracleInstance(diag, method)
+            used = {abs(lit) for cl in loaded for lit in cl}
+            above_w = range(inst.varmap.num_matrix_vars + 1, inst.num_vars + 1)
+            assert [v for v in above_w if v not in used] == [], (n, diag.label())
 
 
 def test_instance_reuse_is_sound():

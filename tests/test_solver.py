@@ -308,13 +308,13 @@ PINNED_N5_SEARCH = {
         "id": (99, 91, 3045, 0, 88),
     },
     "incremental": {
-        "(1 2 3 4 5)": (15, 16, 470, 0, 11, (5, 1341)),
-        "(1 2 3 4)": (37, 35, 832, 0, 28, (39, 9014)),
-        "(1 2 3)(4 5)": (21, 20, 583, 0, 15, (35, 6949)),
-        "(1 2 3)": (26, 25, 624, 0, 19, (44, 8565)),
-        "(1 2)(3 4)": (65, 50, 1173, 0, 46, (64, 10394)),
-        "(1 2)": (64, 48, 1553, 0, 45, (107, 16489)),
-        "id": (99, 91, 3044, 0, 88, (374, 27688)),
+        "(1 2 3 4 5)": (15, 16, 470, 0, 11, (5, 1035)),
+        "(1 2 3 4)": (37, 35, 832, 0, 28, (29, 5753)),
+        "(1 2 3)(4 5)": (21, 20, 583, 0, 15, (31, 5329)),
+        "(1 2 3)": (26, 25, 624, 0, 19, (40, 6355)),
+        "(1 2)(3 4)": (65, 50, 1173, 0, 46, (58, 6982)),
+        "(1 2)": (64, 48, 1553, 0, 45, (94, 11017)),
+        "id": (99, 91, 3044, 0, 88, (370, 20779)),
     },
 }
 
