@@ -1,5 +1,11 @@
 """Breaking, propagation, and blocking clauses, plus ExactlyOne shortening.
 
+A blocking clause is the negation of the search's decisions at a
+reported model.  The decisions fix the model, so the clause excludes it
+and no assignment the search has not already excluded; it holds one
+literal per decision level, so the solver asserts it without conflict
+analysis.
+
 A witness is its permutation pi: `breaking_clause` locates the strict cell
 c of pi(p) < p, the one place the witness is verified, and builds the
 clause that cuts off p: to ever escape the bound again, either the image
@@ -18,9 +24,10 @@ sibling.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .cycleset import (
     Cell,
-    CycleSet,
     PartialCycleSet,
     Permutation,
     apply_permutation,
@@ -139,14 +146,14 @@ def propagation_clause(p: PartialCycleSet, pi: Permutation, cell: Cell, value: i
     return breaking_clause(p.with_domain(cell, p.domain(*cell) & ~(1 << (value - 1))), pi, varmap)
 
 
-def blocking_clause(c: CycleSet, varmap: VarMap) -> Clause:
-    """Exclude one found solution, shortened by the ExactlyOne structure.
+def blocking_clause(decisions: Sequence[int]) -> Clause:
+    """Exclude one found solution: the negated decision literals that led
+    to it, `Solver.decision_literals` at the full assignment.
 
-    The negated solution literals, minus the last off-diagonal cell of each
-    row: that cell's value is forced by the others through the row
-    ExactlyOne constraints, so the literal is redundant.  Empty for n = 2,
-    where the diagonal determines everything.
+    Branching is static and takes the matrix variables first, and a full
+    matrix fixes every chain and ExactlyOne auxiliary variable, so every
+    decision is a matrix literal.  Propagation, from the axioms, the
+    cycloid propagator and the pinned hook clauses, does the rest.  Empty
+    when propagation alone fixes the model, as for n = 2.
     """
-    n = c.n
-    return [-varmap.matrix_var(i, j, c.entry(i, j)) for i, j in varmap.cells
-            if j != (n - 1 if i == n else n)]
+    return [-l for l in decisions]

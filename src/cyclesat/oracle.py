@@ -116,12 +116,12 @@ def labelled_count(n: int, diagonal: Diagonal, method: str = "binary") -> int:
     """Number of cycle sets of size n whose diagonal equals the given one.
 
     Every model of the complete axiom CNF, `reference_cnf`, is counted and
-    blocked on its matrix variables, which determine the rest of the model.
+    blocked by its negated decisions: the matrix variables are decided
+    first, and propagation fixes the rest of the model from them.
     No symmetry breaking, no minimality check and no cycloid propagator
     takes part, so nothing that could over-prune does.
     """
     cnf = reference_cnf(n, diagonal, method)
-    matrix_vars = range(1, cnf.varmap.num_matrix_vars + 1)
     solver = Solver(cnf.num_vars, num_static=cnf.varmap.num_matrix_vars)
     solver.add_cnf(cnf.clauses)
     count = 0
@@ -129,7 +129,7 @@ def labelled_count(n: int, diagonal: Diagonal, method: str = "binary") -> int:
     def count_and_block(model) -> list[int]:
         nonlocal count
         count += 1
-        return [-v for v in matrix_vars if model[v]]
+        return [-l for l in solver.decision_literals()]
 
     solver.solve(hooks=PropagatorHooks(on_complete=count_and_block))
     return count

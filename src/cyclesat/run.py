@@ -111,10 +111,12 @@ class MinimalityHooks:
     """Propagator callbacks running the configured minimality backend on
     complete assignments and the backtracking check on partial ones.
 
-    `solutions` collects the minimal models in the order the solver finds them.
+    `solutions` collects the minimal models in the order the solver finds
+    them; each is blocked by `solver`'s decisions, so `on_complete` needs it.
     """
 
-    def __init__(self, cnf: Cnf, diagonal: Diagonal, config: RunConfig):
+    def __init__(self, cnf: Cnf, diagonal: Diagonal, config: RunConfig, solver: Optional[Solver] = None):
+        self.solver = solver
         self.varmap = cnf.varmap
         self.diagonal = diagonal
         self.stats = DiagStats(diagonal=diagonal.label())
@@ -138,7 +140,7 @@ class MinimalityHooks:
             st.outcomes["complete_minimal"] += 1
             st.time["complete_minimal"] += time.perf_counter() - t0
             self.solutions.append(c)
-            return blocking_clause(c, self.varmap)
+            return blocking_clause(self.solver.decision_literals())
         assert isinstance(out, Witness)
         clause = optimize_clause(breaking_clause(p, out.perm, self.varmap), self.varmap)
         st.outcomes["complete_witness"] += 1
@@ -178,7 +180,7 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
     solver.attach_propagator(CycloidPropagator(cnf.varmap, solver))
     solver.add_cnf(cnf.clauses)
     solver.add_cnf(symmetry_clauses)
-    hooks_impl = MinimalityHooks(cnf, diagonal, config)
+    hooks_impl = MinimalityHooks(cnf, diagonal, config, solver)
     hooks = PropagatorHooks(
         on_complete=hooks_impl.on_complete,
         on_partial=hooks_impl.on_partial,

@@ -6,8 +6,16 @@ restarts, LBD-based deletion of learned clauses, incremental solving under
 assumptions, and a user propagator that decides every full assignment: it
 accepts the model, which `solve` then returns, or hands back a clause the
 search installs and goes on from.  Enumeration is such a propagator: it
-records each model it accepts and returns that model's blocking clause,
-so `solve` ends with unsat once no assignment is left.  A propagator
+records each model it accepts and blocks it with the negation of
+`decision_literals`, so `solve` ends with unsat once no assignment is
+left.  Propagation derives only consequences of the loaded clauses, the
+attached propagator's constraint and the pinned hook clauses, so the
+decisions fix the model, and their negation excludes that model and no
+assignment still open, for good.  A hook clause that holds one literal
+on its top level, as a blocking clause always does, asserts that literal
+after a backjump: it is no conflict, so it is missing from `conflicts`,
+the trace log and restart counting, and it is not analysed or learned a
+second time.  A propagator
 attached with `attach_propagator` is called on each processed literal that
 sets one of its variables true, inside the propagation loop: it implies
 literals, each with a reason clause, or reports a conflict clause.
@@ -135,6 +143,21 @@ class Solver:
         self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
         self._trail.append(enc)
+
+    def decision_literals(self) -> list[int]:
+        """The literals decided or assumed on levels 1 and up, in level order.
+
+        Together with the clauses the solver holds they imply the rest of
+        the trail.  A level whose assumption was already true holds none.
+        """
+        trail = self._trail
+        out = []
+        for lvl, lim in enumerate(self._trail_lim, 1):
+            # an empty level's start is past the trail or on a later level
+            if lim < len(trail) and self._level[trail[lim] >> 1] == lvl:
+                e = trail[lim]
+                out.append(-(e >> 1) if e & 1 else e >> 1)
+        return out
 
     def _new_level(self):
         self._trail_lim.append(len(self._trail))
@@ -523,8 +546,13 @@ class Solver:
 
         A unit clause goes to level 0, where the main loop propagates it.  A
         longer one is watched on its free literal, if any, then its false
-        literals by level descending; it propagates that free literal, or
-        else is analysed as a conflict at its top level.
+        literals by level descending; it propagates that free literal.  A
+        falsified one with a single literal on its top level asserts that
+        literal: the search backjumps to the clause's second-highest level
+        and enqueues it with the clause as reason, with no analysis, and
+        neither `conflicts`, the trace log nor restart counting sees it.
+        Any other falsified clause is analysed as a conflict at its top
+        level.
         """
         val = self._val
         enc = [_enc(l) for l in clause]
@@ -556,6 +584,11 @@ class Solver:
         if top == 0:
             self.ok = False
             return False
+        second = level[enc[1] >> 1]
+        if second < top:
+            self._cancel_until(second)
+            self._enqueue(first, enc)
+            return True
         self._cancel_until(top)
         return self._on_conflict(enc)
 

@@ -119,19 +119,19 @@ def test_sorted_output_bytes_pinned():
 # sizes where the partial check finds witnesses and propagations: a change
 # meant to leave the search alone must reproduce them exactly.
 PINNED_SEARCH = {
-    (6, "backtrack"): ((2698, 2141, 93006, 7, 2071), (1, 3, 35, 9, 32)),
-    (6, "incremental"): ((2710, 2153, 93281, 7, 2083), (2, 3, 34, 9, 31)),
-    (7, "backtrack"): ((19681, 14392, 755639, 65, 14257), (24, 27, 249, 85, 192)),
-    (7, "incremental"): ((19756, 14480, 759545, 66, 14345), (33, 27, 244, 83, 194)),
+    (6, "backtrack"): ((2626, 1539, 92199, 7, 1474), (2, 4, 33, 9, 31)),
+    (6, "incremental"): ((2639, 1548, 92618, 7, 1483), (1, 5, 33, 9, 30)),
+    (7, "backtrack"): ((19389, 10866, 755332, 66, 10744), (27, 30, 242, 82, 191)),
+    (7, "incremental"): ((19544, 11030, 759362, 66, 10911), (34, 23, 236, 92, 192)),
 }
 
 # The cycloid propagator's (checks, implied, conflicts) in the same runs,
 # summed over the diagonals.
 PINNED_CYCLOID = {
-    (6, "backtrack"): (49858, 3246, 724),
-    (6, "incremental"): (50040, 3281, 734),
-    (7, "backtrack"): (414949, 27095, 5576),
-    (7, "incremental"): (417088, 27197, 5612),
+    (6, "backtrack"): (49607, 3250, 726),
+    (6, "incremental"): (49810, 3290, 730),
+    (7, "backtrack"): (414497, 27022, 5545),
+    (7, "incremental"): (416431, 27308, 5637),
 }
 
 
@@ -152,12 +152,12 @@ def test_cycloid_counters_pinned_n6_n7():
 # by orbit pruning; the incremental backend sends it partial states only.
 # A change to the search that keeps its branching order must reproduce them.
 PINNED_CHECK_NODES = {
-    (5, "backtrack"): (1499, 191, 376),
-    (5, "incremental"): (0, 191, 0),
-    (6, "backtrack"): (15762, 3059, 4932),
-    (6, "incremental"): (0, 3094, 0),
-    (7, "backtrack"): (170773, 28013, 59835),
-    (7, "incremental"): (0, 27561, 0),
+    (5, "backtrack"): (1499, 183, 376),
+    (5, "incremental"): (0, 183, 0),
+    (6, "backtrack"): (15757, 2809, 4932),
+    (6, "incremental"): (0, 2858, 0),
+    (7, "backtrack"): (170798, 27026, 59840),
+    (7, "incremental"): (0, 28258, 0),
 }
 
 

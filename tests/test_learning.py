@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from cyclesat.cycleset import CycleSet
-from cyclesat.encoding import encode_axioms
+import cyclesat.run as run
+from cyclesat.cycleset import CycleSet, Permutation, apply_permutation
+from cyclesat.encoding import encode_axioms, lex_leader_family
 from cyclesat.errors import NotAWitnessError
 from cyclesat.learning import (
     blocking_clause,
@@ -13,6 +14,7 @@ from cyclesat.learning import (
 )
 from cyclesat.mincheck import Propagate, Witness, check
 from cyclesat.oracle import brute_force_all, is_lex_min
+from cyclesat.run import RunConfig, enumerate_diagonal
 from cyclesat.symmetry import Diagonal, representative_diagonals
 from test_mincheck import complete_partial, random_partial
 
@@ -157,18 +159,67 @@ def test_propagation_clause_is_unit():
     assert found > 10
 
 
-def test_blocking_clause_excludes_exactly_one_solution():
+@pytest.fixture
+def returned_clauses(monkeypatch):
+    """Every clause the minimality hooks of a run return, in order, each
+    with the model it blocks, or None for a breaking or propagation clause."""
+    returned = []
+
+    class RecordingHooks(run.MinimalityHooks):
+        def on_complete(self, model):
+            found = len(self.solutions)
+            clause = super().on_complete(model)
+            returned.append((clause, self.solutions[-1] if len(self.solutions) > found else None))
+            return clause
+
+        def on_partial(self, view):
+            clause = super().on_partial(view)
+            if clause is not None:
+                returned.append((clause, None))
+            return clause
+
+    monkeypatch.setattr(run, "MinimalityHooks", RecordingHooks)
+    return returned
+
+
+def lex_leaders(n, diag):
+    """The cycle sets of the diagonal that satisfy its lex-leader clauses."""
+    family = [Permutation(tau[1:]) for tau in lex_leader_family(diag)]
+    return [c for c in brute_force_all(n) if c.diagonal_values() == diag.values()
+            and all(apply_permutation(t, c).entries >= c.entries for t in family)]
+
+
+def test_blocking_clause_excludes_exactly_one_solution(returned_clauses):
+    # the decisions fix the model relative to the clauses the search holds:
+    # among the cycle sets that satisfy the lex-leader clauses and every
+    # clause returned before, the blocking clause is falsified by that
+    # model alone
     for n in (3, 4):
-        for diag in representative_diagonals(n):
-            vm = encode_axioms(n, diag).varmap
-            mats = [c for c in brute_force_all(n) if c.diagonal_values() == diag.values()]
-            for c in mats:
-                clause = blocking_clause(c, vm)
-                for m in mats:
-                    val = assignment_of(m, vm)
-                    assert satisfied_by(clause, val) == (m != c)
+        for method in ("binary", "commander"):
+            for diag in representative_diagonals(n):
+                vm = encode_axioms(n, diag, method).varmap
+                leaders = lex_leaders(n, diag)
+                returned_clauses.clear()
+                sols, _ = enumerate_diagonal(RunConfig(n=n, eo_method=method), diag)
+                assert sorted(sols) == sorted(c for c in leaders if is_lex_min(c, diag))
+                live = [(c, assignment_of(c, vm)) for c in leaders]
+                blocked = []
+                for clause, model in returned_clauses:
+                    assert all(0 < abs(l) <= vm.num_matrix_vars for l in clause)
+                    if model is not None:
+                        assert [c for c, val in live if not satisfied_by(clause, val)] == [model]
+                        blocked.append(model)
+                    live = [(c, val) for c, val in live if satisfied_by(clause, val)]
+                assert blocked == sols, (n, method, diag.label())
 
 
-def test_blocking_clause_empty_for_n2():
-    vm = encode_axioms(2, Diagonal.identity(2)).varmap
-    assert blocking_clause(CycleSet.from_rows([[1, 2], [1, 2]]), vm) == []
+def test_blocking_clause_empty_for_n2(returned_clauses):
+    # propagation alone fixes the one model of each n=2 diagonal, so
+    # nothing is decided, its blocking clause is empty and the search ends
+    for diag in representative_diagonals(2):
+        returned_clauses.clear()
+        sols, stats = enumerate_diagonal(RunConfig(n=2), diag)
+        assert returned_clauses == [([], sols[0])]
+        assert stats.complete_checks == 1 and stats.engine["decisions"] == 0
+    assert blocking_clause([]) == []
+    assert blocking_clause([3, -5, 7]) == [-3, 5, -7]

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -292,6 +293,89 @@ def test_watch_lists_stay_consistent_through_search(data):
     assert_each_clause_watched_twice(s)
 
 
+def models_of(clauses, num_vars):
+    return {
+        bits for bits in itertools.product([False, True], repeat=num_vars)
+        if all(any(bits[abs(l) - 1] == (l > 0) for l in cl) for cl in clauses)
+    }
+
+
+def decision_blocking(s, models):
+    """Enumeration hooks that record each model and block its decisions."""
+    def on_complete(model):
+        models.append(tuple(model[1:]))
+        decisions = s.decision_literals()
+        assert len({abs(l) for l in decisions}) == len(decisions)
+        return [-l for l in decisions]
+
+    return PropagatorHooks(on_complete=on_complete)
+
+
+def test_decision_blocking_enumerates_every_model_once():
+    # blocked under assumptions, a model stays excluded without them: the
+    # first run finds the models with the assumptions, the second the rest
+    rnd = random.Random(25)
+    for _ in range(300):
+        num_vars = rnd.randint(1, 7)
+        clauses = [[rnd.choice([v, -v]) for v in rnd.sample(range(1, num_vars + 1), rnd.randint(1, min(3, num_vars)))]
+                   for _ in range(rnd.randint(0, 3 * num_vars))]
+        assumptions = [rnd.choice([v, -v]) for v in rnd.sample(range(1, num_vars + 1), rnd.randint(0, min(3, num_vars)))]
+        s = Solver(num_vars, num_static=rnd.randint(0, num_vars), max_learnts=rnd.choice([2.0, 4000.0]))
+        s.add_cnf(clauses)
+        under, rest = [], []
+        assert s.solve(assumptions, hooks=decision_blocking(s, under)).status == "unsat"
+        assert_each_clause_watched_twice(s)
+        assert s.solve(hooks=decision_blocking(s, rest)).status == "unsat"
+        assert_each_clause_watched_twice(s)
+        want = models_of(clauses, num_vars)
+        want_under = models_of(clauses + [[l] for l in assumptions], num_vars)
+        assert len(under) == len(set(under)) and set(under) == want_under
+        assert len(rest) == len(set(rest)) and set(rest) == want - want_under
+
+
+def test_asserting_hook_clause_is_no_conflict():
+    # x1, x2, x3 are decided on levels 1-3; [-1, -3] holds one literal on
+    # the top level, so it asserts -3 on level 1 without analysis
+    s = Solver(3, num_static=3)
+    s.add_cnf([[1, 2, 3]])
+    seen = []
+
+    def on_complete(model):
+        seen.append(tuple(model[1:]))
+        if len(seen) == 1:
+            assert s.decision_literals() == [1, 2, 3]
+            return [-1, -3]
+        clause = s._externals[-1]
+        assert s._reason[3] is clause and s._level[3] == 1
+        assert s._trail.index(_enc(-3)) < s._trail.index(_enc(2))
+        assert s.decision_literals() == [1, 2]
+        assert_each_clause_watched_twice(s)
+        return None
+
+    s._analyze = None  # no analysis may run
+    res = s.solve(hooks=PropagatorHooks(on_complete=on_complete))
+    assert res.status == "sat" and seen == [(True, True, True), (True, True, False)]
+    assert s.conflicts == 0 and not s._learnts
+
+
+def test_hook_clause_with_two_top_level_literals_is_analysed():
+    # x2 implies x3 on level 2, so [-2, -3] holds two literals there
+    s = Solver(3, num_static=3)
+    s.add_cnf([[-2, 3]])
+    analysed = []
+    inner = s._analyze
+    s._analyze = lambda confl: analysed.append(list(confl)) or inner(confl)
+    models = []
+
+    def on_complete(model):
+        models.append(tuple(model[1:]))
+        return [-2, -3] if len(models) == 1 else None
+
+    assert s.solve(hooks=PropagatorHooks(on_complete=on_complete)).status == "sat"
+    assert models == [(True, True, True), (True, False, True)]
+    assert s.conflicts == 1 and analysed == [[_enc(-2), _enc(-3)]]
+
+
 # Solver.stats() per n=5 diagonal, then, for the incremental backend, the
 # (conflicts, propagations) of the complete oracle solver.
 # These pin the search itself: an engine change that is meant to leave the
@@ -299,22 +383,22 @@ def test_watch_lists_stay_consistent_through_search(data):
 # on purpose re-records them and says so in CHANGES.md.
 PINNED_N5_SEARCH = {
     "backtrack": {
-        "(1 2 3 4 5)": (15, 16, 470, 0, 11),
-        "(1 2 3 4)": (37, 35, 832, 0, 28),
-        "(1 2 3)(4 5)": (21, 20, 583, 0, 15),
-        "(1 2 3)": (26, 25, 624, 0, 19),
-        "(1 2)(3 4)": (65, 50, 1173, 0, 46),
-        "(1 2)": (64, 48, 1553, 0, 45),
-        "id": (99, 91, 3045, 0, 88),
+        "(1 2 3 4 5)": (15, 15, 470, 0, 11),
+        "(1 2 3 4)": (33, 23, 822, 0, 17),
+        "(1 2 3)(4 5)": (21, 14, 583, 0, 10),
+        "(1 2 3)": (25, 15, 622, 0, 10),
+        "(1 2)(3 4)": (62, 30, 1188, 0, 26),
+        "(1 2)": (64, 24, 1553, 0, 22),
+        "id": (98, 75, 3027, 0, 72),
     },
     "incremental": {
-        "(1 2 3 4 5)": (15, 16, 470, 0, 11, (5, 1035)),
-        "(1 2 3 4)": (37, 35, 832, 0, 28, (29, 5753)),
-        "(1 2 3)(4 5)": (21, 20, 583, 0, 15, (31, 5329)),
-        "(1 2 3)": (26, 25, 624, 0, 19, (40, 6355)),
-        "(1 2)(3 4)": (65, 50, 1173, 0, 46, (58, 6982)),
-        "(1 2)": (64, 48, 1553, 0, 45, (94, 11017)),
-        "id": (99, 91, 3044, 0, 88, (370, 20779)),
+        "(1 2 3 4 5)": (15, 15, 470, 0, 11, (5, 1035)),
+        "(1 2 3 4)": (33, 23, 822, 0, 17, (29, 5753)),
+        "(1 2 3)(4 5)": (21, 14, 583, 0, 10, (31, 5329)),
+        "(1 2 3)": (25, 15, 622, 0, 10, (40, 6355)),
+        "(1 2)(3 4)": (62, 30, 1188, 0, 26, (58, 6836)),
+        "(1 2)": (64, 24, 1553, 0, 22, (94, 11017)),
+        "id": (98, 75, 3026, 0, 72, (370, 20779)),
     },
 }
 
