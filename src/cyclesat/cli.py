@@ -41,9 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            "through a temporary file (axioms only, without the symmetry-breaking "
                            "clauses the search adds)")
     enum.add_argument("--trace", metavar="PATH",
-                      help="append a conflict/restart log here, one block per diagonal in selection "
-                           "order, by writing the old content and the new blocks to a temporary file "
-                           "that replaces it")
+                      help="append the conflict log here, one 'conflict <k> level <l>' line per conflict "
+                           "in one block per diagonal in selection order, by writing the old content "
+                           "and the new blocks to a temporary file that replaces it")
     enum.add_argument("--raw-order", action="store_true", help="emit solutions in solver order instead of sorting")
 
     ver = sub.add_parser("verify", help="check a solution database file")

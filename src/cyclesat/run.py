@@ -102,7 +102,7 @@ class DiagStats:
     static_clauses: int = 0
     # incremental backend: the complete oracle's solver counters
     complete_oracle: dict = field(default_factory=dict)
-    # the solver's conflict/restart log when tracing; `run_enumerate` writes
+    # the solver's conflict log when tracing; `run_enumerate` writes
     # it to the trace file and leaves it out of the stats it returns
     trace: str = ""
 

@@ -1,9 +1,8 @@
 """A self-contained CDCL SAT solver with external-propagator hooks.
 
 Features the enumeration pipeline relies on: two-watched-literal
-propagation, first-UIP clause learning with cheap minimization, Luby
-restarts, LBD-based deletion of learned clauses, incremental solving under
-assumptions, and a user propagator that decides every full assignment: it
+propagation, first-UIP clause learning with cheap minimization, LBD-based
+deletion of learned clauses, incremental solving under assumptions, and a user propagator that decides every full assignment: it
 accepts the model, which `solve` then returns, or hands back a clause the
 search installs and goes on from.  Enumeration is such a propagator: it
 records each model it accepts and blocks it with the negation of
@@ -13,9 +12,8 @@ attached propagator's constraint and the pinned hook clauses, so the
 decisions fix the model, and their negation excludes that model and no
 assignment still open, for good.  A hook clause that holds one literal
 on its top level, as a blocking clause always does, asserts that literal
-after a backjump: it is no conflict, so it is missing from `conflicts`,
-the trace log and restart counting, and it is not analysed or learned a
-second time.  A propagator
+after a backjump: it is no conflict, so it is missing from `conflicts`
+and the trace log, and it is not analysed or learned a second time.  A propagator
 attached with `attach_propagator` is called on each processed literal that
 sets one of its variables true, inside the propagation loop: it implies
 literals, each with a reason clause, or reports a conflict clause.
@@ -38,19 +36,6 @@ from .errors import PropagatorContractViolation
 
 def _enc(lit: int) -> int:
     return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
-
-
-def _luby(x: int) -> int:
-    """x-th term (0-based) of the Luby restart sequence 1,1,2,1,1,2,4,..."""
-    size, seq = 1, 0
-    while size < x + 1:
-        seq += 1
-        size = 2 * size + 1
-    while size - 1 != x:
-        size = (size - 1) >> 1
-        seq -= 1
-        x %= size
-    return 1 << seq
 
 
 @dataclass
@@ -124,8 +109,7 @@ class Solver:
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
-        self.restarts = 0
-        self.trace = None  # optional text stream for conflict/restart logging
+        self.trace = None  # optional text stream for the conflict log
         self._propagator = None
         self._propagator_lim = 0  # encoded positive literals below it go to the propagator
 
@@ -473,24 +457,20 @@ class Solver:
     def _search(self, asm: list[int], hooks: Optional[PropagatorHooks]) -> SolveResult:
         """The CDCL main loop.
 
-        The encoded assumptions `asm` take levels 1..len(asm), and restarts
-        cancel back to them.  A full assignment
-        goes to hooks.on_complete: None accepts it, and any other answer is
+        The encoded assumptions `asm` take levels 1..len(asm); the loop
+        leaves them only by backjumping.  A full assignment goes to
+        hooks.on_complete: None accepts it, and any other answer is
         a clause to install before the search goes on, as is a clause from
         hooks.on_partial.
         """
         nasm = len(asm)
         on_partial = hooks.on_partial if hooks is not None else None
         view = AssignmentView(self)
-        restart_count = 0
-        limit = 100 * _luby(restart_count)
-        since_restart = 0
         while self.ok:
             confl = self._propagate()
             if confl is not None:
                 if not self._on_conflict(confl):
                     break
-                since_restart += 1
                 continue
             lvl = len(self._trail_lim)
             if lvl < nasm:
@@ -514,15 +494,6 @@ class Solver:
                     return SolveResult("sat", model=model)
                 if not self._handle_hook_clause(clause):
                     break
-                continue
-            if since_restart >= limit:
-                restart_count += 1
-                self.restarts += 1
-                if self.trace is not None:
-                    self.trace.write(f"restart {self.restarts}\n")
-                since_restart = 0
-                limit = 100 * _luby(restart_count)
-                self._cancel_until(nasm)
                 continue
             if len(self._learnts) >= self._max_learnts:
                 self._reduce_db()
@@ -550,7 +521,7 @@ class Solver:
         falsified one with a single literal on its top level asserts that
         literal: the search backjumps to the clause's second-highest level
         and enqueues it with the clause as reason, with no analysis, and
-        neither `conflicts`, the trace log nor restart counting sees it.
+        neither `conflicts` nor the trace log sees it.
         Any other falsified clause is analysed as a conflict at its top
         level.
         """
@@ -597,7 +568,6 @@ class Solver:
             "conflicts": self.conflicts,
             "decisions": self.decisions,
             "propagations": self.propagations,
-            "restarts": self.restarts,
             "learned": len(self._learnts),
         }
         if self._propagator is not None:

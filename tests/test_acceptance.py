@@ -67,7 +67,7 @@ def criterion(num, label):
     print(f"ACCEPTANCE {num} ({label}): PASS")
 
 
-ENGINE_KEYS = ("decisions", "conflicts", "propagations", "restarts", "learned")
+ENGINE_KEYS = ("decisions", "conflicts", "propagations", "learned")
 CYCLOID_KEYS = ("cycloid_checks", "cycloid_implied", "cycloid_conflicts")
 NODE_KEYS = ("complete", "partial", "orbit_pruned")
 OUTCOME_KEYS = ("partial_witness", "partial_propagate", "partial_minimal", "partial_unknown", "complete_witness")
@@ -119,19 +119,19 @@ def test_sorted_output_bytes_pinned():
 # sizes where the partial check finds witnesses and propagations: a change
 # meant to leave the search alone must reproduce them exactly.
 PINNED_SEARCH = {
-    (6, "backtrack"): ((2626, 1539, 92199, 7, 1474), (2, 4, 33, 9, 31)),
-    (6, "incremental"): ((2639, 1548, 92618, 7, 1483), (1, 5, 33, 9, 30)),
-    (7, "backtrack"): ((19389, 10866, 755332, 66, 10744), (27, 30, 242, 82, 191)),
-    (7, "incremental"): ((19544, 11030, 759362, 66, 10911), (34, 23, 236, 92, 192)),
+    (6, "backtrack"): ((2605, 1551, 91000, 1486), (1, 3, 36, 7, 31)),
+    (6, "incremental"): ((2611, 1556, 91125, 1491), (1, 3, 36, 7, 29)),
+    (7, "backtrack"): ((18931, 10873, 733121, 10750), (28, 23, 236, 85, 191)),
+    (7, "incremental"): ((19021, 11025, 737116, 10900), (31, 25, 233, 84, 197)),
 }
 
 # The cycloid propagator's (checks, implied, conflicts) in the same runs,
 # summed over the diagonals.
 PINNED_CYCLOID = {
-    (6, "backtrack"): (49607, 3250, 726),
-    (6, "incremental"): (49810, 3290, 730),
-    (7, "backtrack"): (414497, 27022, 5545),
-    (7, "incremental"): (416431, 27308, 5637),
+    (6, "backtrack"): (49609, 3270, 736),
+    (6, "incremental"): (49725, 3284, 738),
+    (7, "backtrack"): (411377, 26923, 5588),
+    (7, "incremental"): (414183, 27242, 5675),
 }
 
 
@@ -154,10 +154,10 @@ def test_cycloid_counters_pinned_n6_n7():
 PINNED_CHECK_NODES = {
     (5, "backtrack"): (1499, 183, 376),
     (5, "incremental"): (0, 183, 0),
-    (6, "backtrack"): (15757, 2809, 4932),
-    (6, "incremental"): (0, 2858, 0),
-    (7, "backtrack"): (170798, 27026, 59840),
-    (7, "incremental"): (0, 28258, 0),
+    (6, "backtrack"): (15745, 2880, 4930),
+    (6, "incremental"): (0, 2890, 0),
+    (7, "backtrack"): (170743, 27301, 59824),
+    (7, "incremental"): (0, 27014, 0),
 }
 
 

@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 import cyclesat.run as run
 from cyclesat.errors import PropagatorContractViolation
 from cyclesat.run import RunConfig, enumerate_diagonal
-from cyclesat.solver import PropagatorHooks, Solver, _enc, _luby
+from cyclesat.solver import PropagatorHooks, Solver, _enc
 from cyclesat.symmetry import representative_diagonals
-
-
-def test_luby_sequence():
-    assert [_luby(i) for i in range(15)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
 
 
 def test_basic_sat():
@@ -383,22 +379,22 @@ def test_hook_clause_with_two_top_level_literals_is_analysed():
 # on purpose re-records them and says so in CHANGES.md.
 PINNED_N5_SEARCH = {
     "backtrack": {
-        "(1 2 3 4 5)": (15, 15, 470, 0, 11),
-        "(1 2 3 4)": (33, 23, 822, 0, 17),
-        "(1 2 3)(4 5)": (21, 14, 583, 0, 10),
-        "(1 2 3)": (25, 15, 622, 0, 10),
-        "(1 2)(3 4)": (62, 30, 1188, 0, 26),
-        "(1 2)": (64, 24, 1553, 0, 22),
-        "id": (98, 75, 3027, 0, 72),
+        "(1 2 3 4 5)": (15, 15, 470, 11),
+        "(1 2 3 4)": (33, 23, 822, 17),
+        "(1 2 3)(4 5)": (21, 14, 583, 10),
+        "(1 2 3)": (25, 15, 622, 10),
+        "(1 2)(3 4)": (62, 30, 1188, 26),
+        "(1 2)": (64, 24, 1553, 22),
+        "id": (98, 75, 3027, 72),
     },
     "incremental": {
-        "(1 2 3 4 5)": (15, 15, 470, 0, 11, (5, 1035)),
-        "(1 2 3 4)": (33, 23, 822, 0, 17, (29, 5753)),
-        "(1 2 3)(4 5)": (21, 14, 583, 0, 10, (31, 5329)),
-        "(1 2 3)": (25, 15, 622, 0, 10, (40, 6355)),
-        "(1 2)(3 4)": (62, 30, 1188, 0, 26, (58, 6836)),
-        "(1 2)": (64, 24, 1553, 0, 22, (94, 11017)),
-        "id": (98, 75, 3026, 0, 72, (370, 20779)),
+        "(1 2 3 4 5)": (15, 15, 470, 11, (5, 1035)),
+        "(1 2 3 4)": (33, 23, 822, 17, (29, 5753)),
+        "(1 2 3)(4 5)": (21, 14, 583, 10, (31, 5329)),
+        "(1 2 3)": (25, 15, 622, 10, (40, 6355)),
+        "(1 2)(3 4)": (62, 30, 1188, 26, (58, 6836)),
+        "(1 2)": (64, 24, 1553, 22, (94, 11017)),
+        "id": (98, 75, 3026, 72, (370, 20779)),
     },
 }
 
@@ -420,7 +416,7 @@ def test_search_pinned_on_every_n5_diagonal(monkeypatch):
             hooks_made.clear()
             _, stats = enumerate_diagonal(config, d)
             e = stats.engine
-            row = (e["decisions"], e["conflicts"], e["propagations"], e["restarts"], e["learned"])
+            row = (e["decisions"], e["conflicts"], e["propagations"], e["learned"])
             oracle = hooks_made[0]._complete_oracle
             if oracle is not None:
                 o = oracle.solver.stats()
