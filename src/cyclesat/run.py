@@ -148,6 +148,10 @@ class MinimalityHooks:
         return clause
 
     def on_partial(self, view) -> Optional[list[int]]:
+        """Run the backtracking check on the partial assignment before every
+        PARTIAL_FREQUENCY-th decision of `solver`; None before the others."""
+        if self.solver.decisions % PARTIAL_FREQUENCY:
+            return None
         t0 = time.perf_counter()
         p = extract_partial(view, self.varmap)
         st = self.stats
@@ -181,11 +185,7 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
     solver.add_cnf(cnf.clauses)
     solver.add_cnf(symmetry_clauses)
     hooks_impl = MinimalityHooks(cnf, diagonal, config, solver)
-    hooks = PropagatorHooks(
-        on_complete=hooks_impl.on_complete,
-        on_partial=hooks_impl.on_partial,
-        partial_frequency=PARTIAL_FREQUENCY,
-    )
+    hooks = PropagatorHooks(on_complete=hooks_impl.on_complete, on_partial=hooks_impl.on_partial)
     solver.solve(hooks=hooks)  # unsat once every minimal model is blocked
     st = hooks_impl.stats
     st.solutions = len(hooks_impl.solutions)

@@ -50,15 +50,13 @@ class PropagatorHooks:
 
     on_complete decides every full assignment: None accepts it, and solve()
     returns it as a sat result.  on_partial is called before every
-    `partial_frequency`-th decision (every decision by default) and may
-    return None.  Any clause either returns is installed permanently and
-    must be falsified under the current trail, or, from on_partial only,
-    unit; anything else raises PropagatorContractViolation.
+    decision and may return None.  Any clause either returns is installed
+    permanently and must be falsified under the current trail, or, from
+    on_partial only, unit; anything else raises PropagatorContractViolation.
     """
 
     on_complete: Callable[[list[bool]], Optional[list[int]]]
     on_partial: Optional[Callable[["AssignmentView"], Optional[list[int]]]] = None
-    partial_frequency: int = 1
 
 
 class AssignmentView:
@@ -418,15 +416,15 @@ class Solver:
 
     # ---------------------------------------------------------------- decisions
 
-    def _pick_branch_lit(self) -> Optional[int]:
+    def _pick_branch_lit(self) -> int:
+        """The first unassigned variable at or above `_static_head`, in its
+        saved phase; every variable below the head is assigned, so one
+        exists while the trail is short of `num_vars`."""
         val = self._val
         v = self._static_head
-        num_vars = self.num_vars
-        while v <= num_vars and val[v << 1] != 0:
+        while val[v << 1] != 0:
             v += 1
         self._static_head = v
-        if v > num_vars:
-            return None
         return (v << 1) if self._phase[v] > 0 else (v << 1) | 1
 
     # ------------------------------------------------------ incremental solving
@@ -499,7 +497,7 @@ class Solver:
                 self._reduce_db()
             # counted before the partial hook, even when its clause preempts the decision
             self.decisions += 1
-            if on_partial is not None and self.decisions % hooks.partial_frequency == 0:
+            if on_partial is not None:
                 clause = on_partial(view)
                 if clause is not None:
                     if not self._handle_hook_clause(clause):

@@ -127,7 +127,7 @@ def test_lazy_clauses_through_both_hooks_match_truth_table(data):
 
     s = Solver(num_vars, num_static=data.draw(st.integers(0, num_vars)))
     s.add_cnf(f)
-    hooks = PropagatorHooks(on_complete=on_complete, on_partial=on_partial, partial_frequency=1)
+    hooks = PropagatorHooks(on_complete=on_complete, on_partial=on_partial)
     assert s.solve(hooks=hooks).status == "unsat"
     expected = [
         bits for bits in itertools.product([False, True], repeat=num_vars)
