@@ -86,6 +86,15 @@ def test_outcome_counts_sum_to_check_counts():
         assert complete == st["complete_checks"]
 
 
+def test_partial_check_runs_before_every_scheduled_decision():
+    # per diagonal: the hooks check before each PARTIAL_FREQUENCY-th
+    # decision the solver counts, and before no other
+    for backend in BACKENDS:
+        _, stats = run_enumerate(RunConfig(n=6, backend=backend))
+        for label, st in stats.items():
+            assert st["partial_checks"] == st["engine"]["decisions"] // run.PARTIAL_FREQUENCY, (backend, label)
+
+
 def test_single_diagonal_matches_per_diagonal_oracle():
     n = 4
     for d in representative_diagonals(n):
@@ -583,6 +592,24 @@ def test_cli_trace_log(tmp_path):
     assert "conflict" in logs[0]
     headers = [line for line in logs[0].splitlines() if line.startswith("#")]
     assert headers == [f"# diagonal {d.label()}" for d in representative_diagonals(4)]
+
+
+def test_trace_logs_each_counted_conflict_once(tmp_path):
+    # a block holds one "conflict <k> level <l>" line per counted conflict
+    # and nothing else; an asserted hook clause is no conflict
+    trace = tmp_path / "trace.log"
+    _, stats = run_enumerate(RunConfig(n=6, backend="backtrack", trace_path=str(trace)))
+    blocks = trace.read_text().split("# diagonal ")[1:]
+    assert [b.split("\n", 1)[0] for b in blocks] == list(stats)
+    for block in blocks:
+        label, *lines = block.splitlines()
+        numbers = []
+        for line in lines:
+            m = re.fullmatch(r"conflict (\d+) level (\d+)", line)
+            assert m, (label, line)
+            numbers.append(int(m[1]))
+        assert numbers == list(range(1, len(lines) + 1)), label
+        assert len(lines) == stats[label]["engine"]["conflicts"], label
 
 
 def test_cli_raw_order_flag(tmp_path):
