@@ -2,9 +2,10 @@
 
 Features the enumeration pipeline relies on: two-watched-literal
 propagation, first-UIP clause learning with cheap minimization, LBD-based
-deletion of learned clauses, incremental solving under assumptions, and a user propagator that decides every full assignment: it
-accepts the model, which `solve` then returns, or hands back a clause the
-search installs and goes on from.  Enumeration is such a propagator: it
+deletion of learned clauses, incremental solving under assumptions, and a
+user propagator that decides every full assignment: it accepts the model,
+which `solve` then returns, or hands back a clause the search installs
+and goes on from.  Enumeration is such a propagator: it
 records each model it accepts and blocks it with the negation of
 `decision_literals`, so `solve` ends with unsat once no assignment is
 left.  Propagation derives only consequences of the loaded clauses, the
@@ -13,10 +14,11 @@ decisions fix the model, and their negation excludes that model and no
 assignment still open, for good.  A hook clause that holds one literal
 on its top level, as a blocking clause always does, asserts that literal
 after a backjump: it is no conflict, so it is missing from `conflicts`
-and the trace log, and it is not analysed or learned a second time.  A propagator
-attached with `attach_propagator` is called on each processed literal that
-sets one of its variables true, inside the propagation loop: it implies
-literals, each with a reason clause, or reports a conflict clause.
+and the trace log, and it is not analysed or learned a second time.  A
+propagator attached with `attach_propagator` is called on each processed
+literal that sets one of its variables true, inside the propagation loop:
+it implies literals, each with a reason clause, or reports a conflict
+clause.
 
 Literals are signed integers at the API boundary (DIMACS style) and are
 encoded internally as var<<1 | sign.  Hook clauses, breaking and
