@@ -26,7 +26,7 @@ from .mincheck import Minimal, MinCheckOutcome, Propagate, Unknown, Witness
 from .oracle import brute_force_all, brute_force_diagonal, extensions, lex_min_reps, verify_database
 from .run import DiagStats, RunConfig, enumerate_diagonal, run_enumerate
 from .sat_mincheck import OracleInstance
-from .solver import PropagatorHooks, SolveResult, Solver
+from .solver import Solver
 from .symmetry import (
     Diagonal,
     centralizer,
@@ -66,8 +66,6 @@ __all__ = [
     "enumerate_diagonal",
     "run_enumerate",
     "OracleInstance",
-    "PropagatorHooks",
-    "SolveResult",
     "Solver",
     "Diagonal",
     "centralizer",

@@ -279,11 +279,12 @@ def strictly_below(p: PartialCycleSet, p2: PartialCycleSet) -> Optional[Cell]:
     return None
 
 
-def extract_partial(assignment, varmap) -> PartialCycleSet:
+def extract_partial(value, varmap) -> PartialCycleSet:
     """Read the partial cycle set out of a partial truth assignment.
 
-    `assignment` must provide .get(var) -> True | False | None for matrix
-    variables of `varmap`.  A cell keeps every value whose indicator is not
+    `value(var)` gives True, False or None (unassigned) for the matrix
+    variables of `varmap`: `Solver.value` inside `solve`'s on_partial, or
+    a dict's `get`.  A cell keeps every value whose indicator is not
     assigned false; diagonal cells are fixed by the varmap's diagonal.
     """
     n = varmap.n
@@ -296,7 +297,7 @@ def extract_partial(assignment, varmap) -> PartialCycleSet:
                 continue
             m = 0
             for k, var in varmap.cell_vars(i, j):
-                if assignment.get(var) is not False:
+                if value(var) is not False:
                     m |= 1 << (k - 1)
             if m == 0:
                 raise EmptyDomainError(f"assignment empties cell {(i, j)}")

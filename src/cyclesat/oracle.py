@@ -19,7 +19,8 @@ from typing import Optional
 from .cycleset import CycleSet, PartialCycleSet, Permutation, apply_permutation, full_mask, satisfies_axioms
 from .encoding import reference_cnf
 from .errors import DatabaseParseError, SizeLimitError
-from .solver import PropagatorHooks, Solver
+from .learning import blocking_clause
+from .solver import Solver
 from .symmetry import Diagonal, centralizer
 
 BRUTE_FORCE_MAX_N = 4
@@ -116,10 +117,10 @@ def labelled_count(n: int, diagonal: Diagonal, method: str = "binary") -> int:
     """Number of cycle sets of size n whose diagonal equals the given one.
 
     Every model of the complete axiom CNF, `reference_cnf`, is counted and
-    blocked by its negated decisions: the matrix variables are decided
-    first, and propagation fixes the rest of the model from them.
-    No symmetry breaking, no minimality check and no cycloid propagator
-    takes part, so nothing that could over-prune does.
+    blocked by `blocking_clause`, its negated decisions: the matrix
+    variables are decided first, and propagation fixes the rest of the
+    model from them.  No symmetry breaking, no minimality check and no
+    cycloid propagator takes part, so nothing that could over-prune does.
     """
     cnf = reference_cnf(n, diagonal, method)
     solver = Solver(cnf.num_vars, num_static=cnf.varmap.num_matrix_vars)
@@ -129,9 +130,9 @@ def labelled_count(n: int, diagonal: Diagonal, method: str = "binary") -> int:
     def count_and_block(model) -> list[int]:
         nonlocal count
         count += 1
-        return [-l for l in solver.decision_literals()]
+        return blocking_clause(solver.decision_literals())
 
-    solver.solve(hooks=PropagatorHooks(on_complete=count_and_block))
+    solver.solve(on_complete=count_and_block)
     return count
 
 

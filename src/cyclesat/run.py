@@ -4,15 +4,15 @@ Each selected diagonal is an independent subproblem: its axioms are
 encoded, the cycloid propagator is attached for the rest of the cycloid
 equation, static lex-leader clauses are added for aligned swaps of its
 equal-length cycles and a one-step rotation of each cycle, and one `solve`
-call of a fresh solver enumerates it.  The propagator hooks run a
-minimality backend on every full assignment and, every PARTIAL_FREQUENCY-th
-decision, the backtracking check on a partial one; a minimal model is
-recorded and blocked, a non-minimal one cut off with a breaking clause.
-Diagonals can run in separate processes; results are merged and sorted
-afterwards, so the worker count never changes the output.  The search
-does no file I/O: the trace, the solutions, the stats and the DIMACS dump
-are each written through `_replace_file`, so an interrupted write leaves
-whatever was there before.
+call of a fresh solver enumerates it.  The callbacks of that call,
+`MinimalityHooks`, run a minimality backend on every full assignment and,
+every PARTIAL_FREQUENCY-th decision, the backtracking check on a partial
+one; a minimal model is recorded and blocked, a non-minimal one cut off
+with a breaking clause.  Diagonals can run in separate processes; results
+are merged and sorted afterwards, so the worker count never changes the
+output.  The search does no file I/O: the trace, the solutions, the stats
+and the DIMACS dump are each written through `_replace_file`, so an
+interrupted write leaves whatever was there before.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .mincheck import Minimal, Propagate, Unknown, Witness
 from .mincheck import check as backtrack_check
 from .sat_mincheck import OracleInstance
 from .sat_mincheck import check as oracle_check
-from .solver import PropagatorHooks, Solver
+from .solver import Solver
 from .symmetry import PARTITIONS_MAX_N, Diagonal, representative_diagonals
 
 BACKENDS = ("backtrack", "incremental")
@@ -108,11 +108,13 @@ class DiagStats:
 
 
 class MinimalityHooks:
-    """Propagator callbacks running the configured minimality backend on
-    complete assignments and the backtracking check on partial ones.
+    """The `on_complete` and `on_partial` callbacks of `solver.solve`: the
+    configured minimality backend on complete assignments, the
+    backtracking check on partial ones.
 
     `solutions` collects the minimal models in the order the solver finds
-    them; each is blocked by `solver`'s decisions, so `on_complete` needs it.
+    them; each is blocked by `solver`'s decisions, so `on_complete` needs
+    it, and `on_partial` reads the assignment through `solver.value`.
     """
 
     def __init__(self, cnf: Cnf, diagonal: Diagonal, config: RunConfig, solver: Optional[Solver] = None):
@@ -147,13 +149,13 @@ class MinimalityHooks:
         st.time["complete_nonminimal"] += time.perf_counter() - t0
         return clause
 
-    def on_partial(self, view) -> Optional[list[int]]:
+    def on_partial(self) -> Optional[list[int]]:
         """Run the backtracking check on the partial assignment before every
         PARTIAL_FREQUENCY-th decision of `solver`; None before the others."""
         if self.solver.decisions % PARTIAL_FREQUENCY:
             return None
         t0 = time.perf_counter()
-        p = extract_partial(view, self.varmap)
+        p = extract_partial(self.solver.value, self.varmap)
         st = self.stats
         out = backtrack_check(p, self.diagonal, complete=False, nodes=st.check_nodes)
         st.partial_checks += 1
@@ -184,22 +186,21 @@ def enumerate_diagonal(config: RunConfig, diagonal: Diagonal) -> tuple[list[Cycl
     solver.attach_propagator(CycloidPropagator(cnf.varmap, solver))
     solver.add_cnf(cnf.clauses)
     solver.add_cnf(symmetry_clauses)
-    hooks_impl = MinimalityHooks(cnf, diagonal, config, solver)
-    hooks = PropagatorHooks(on_complete=hooks_impl.on_complete, on_partial=hooks_impl.on_partial)
-    solver.solve(hooks=hooks)  # unsat once every minimal model is blocked
-    st = hooks_impl.stats
-    st.solutions = len(hooks_impl.solutions)
+    hooks = MinimalityHooks(cnf, diagonal, config, solver)
+    solver.solve(on_complete=hooks.on_complete, on_partial=hooks.on_partial)  # None once all are blocked
+    st = hooks.stats
+    st.solutions = len(hooks.solutions)
     st.total_time = time.perf_counter() - t0
     st.engine = solver.stats()
     st.variables = num_vars
     st.axiom_clauses = len(cnf.clauses)
     st.static_clauses = len(symmetry_clauses)
-    oracle = hooks_impl._complete_oracle
+    oracle = hooks._complete_oracle
     if oracle is not None:
         st.complete_oracle = oracle.solver.stats()
     if solver.trace is not None:
         st.trace = solver.trace.getvalue()
-    return hooks_impl.solutions, st
+    return hooks.solutions, st
 
 
 def selected_diagonals(config: RunConfig) -> list[Diagonal]:

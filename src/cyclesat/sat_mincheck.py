@@ -170,7 +170,7 @@ def check(c: CycleSet, inst: OracleInstance) -> MinCheckOutcome:
     layer into the Witness, whose strict cell `learning.breaking_clause`
     locates.
     """
-    res = inst.solver.solve(matrix_literals(c, inst.varmap))
-    if res.status == "unsat":
+    model = inst.solver.solve(matrix_literals(c, inst.varmap))
+    if model is None:
         return Minimal()
-    return Witness(inst.decode_permutation(res.model))
+    return Witness(inst.decode_permutation(model))

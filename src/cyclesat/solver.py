@@ -2,23 +2,25 @@
 
 Features the enumeration pipeline relies on: two-watched-literal
 propagation, first-UIP clause learning with cheap minimization, LBD-based
-deletion of learned clauses, incremental solving under assumptions, and a
-user propagator that decides every full assignment: it accepts the model,
-which `solve` then returns, or hands back a clause the search installs
-and goes on from.  Enumeration is such a propagator: it
-records each model it accepts and blocks it with the negation of
-`decision_literals`, so `solve` ends with unsat once no assignment is
-left.  Propagation derives only consequences of the loaded clauses, the
-attached propagator's constraint and the pinned hook clauses, so the
-decisions fix the model, and their negation excludes that model and no
-assignment still open, for good.  A hook clause that holds one literal
-on its top level, as a blocking clause always does, asserts that literal
-after a backjump: it is no conflict, so it is missing from `conflicts`
-and the trace log, and it is not analysed or learned a second time.  A
-propagator attached with `attach_propagator` is called on each processed
-literal that sets one of its variables true, inside the propagation loop:
-it implies literals, each with a reason clause, or reports a conflict
-clause.
+deletion of learned clauses, incremental solving under assumptions, and
+the two callbacks of `solve(assumptions, on_complete, on_partial)`, which
+returns a model on_complete accepted, or None once none is left.  Each
+full assignment goes to on_complete, which accepts it or hands back a
+clause the search installs and goes on from; on_partial, called before
+each decision, reads the assignment through `value` and may hand back a
+clause too.  Enumeration is such an on_complete: it records each model
+and blocks it with the negation of `decision_literals`, so `solve`
+returns None once no assignment is left.  Propagation derives only
+consequences of the loaded clauses, the attached propagator's constraint
+and the pinned hook clauses, so the decisions fix the model, and their
+negation excludes that model and no assignment still open, for good.  A
+hook clause that holds one literal on its top level, as a blocking clause
+always does, asserts that literal after a backjump: it is no conflict, so
+it is missing from `conflicts` and the trace log, and it is not analysed
+or learned a second time.  A propagator attached with `attach_propagator`
+is called on each processed literal that sets one of its variables true,
+inside the propagation loop: it implies literals, each with a reason
+clause, or reports a conflict clause.
 
 Literals are signed integers at the API boundary (DIMACS style) and are
 encoded internally as var<<1 | sign.  Hook clauses, breaking and
@@ -30,50 +32,13 @@ reasons, and its conflict clauses only through what is learned from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import PropagatorContractViolation
 
 
 def _enc(lit: int) -> int:
     return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
-
-
-@dataclass
-class SolveResult:
-    status: str  # "sat" | "unsat"
-    model: Optional[list[bool]] = None  # indexed by variable, model[0] unused
-
-
-@dataclass
-class PropagatorHooks:
-    """Callbacks consulted during search and at full assignments.
-
-    on_complete decides every full assignment: None accepts it, and solve()
-    returns it as a sat result.  on_partial is called before every
-    decision and may return None.  Any clause either returns is installed
-    permanently and must be falsified under the current trail, or, from
-    on_partial only, unit; anything else raises PropagatorContractViolation.
-    """
-
-    on_complete: Callable[[list[bool]], Optional[list[int]]]
-    on_partial: Optional[Callable[["AssignmentView"], Optional[list[int]]]] = None
-
-
-class AssignmentView:
-    """Read-only view of the current assignment: get(var) -> True/False/None."""
-
-    __slots__ = ("_sol",)
-
-    def __init__(self, sol: "Solver"):
-        self._sol = sol
-
-    def get(self, var: int):
-        v = self._sol._val[var << 1]
-        if v == 0:
-            return None
-        return v > 0
 
 
 class Solver:
@@ -127,6 +92,11 @@ class Solver:
         self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
         self._trail.append(enc)
+
+    def value(self, var: int) -> Optional[bool]:
+        """The current value of `var`: True, False, or None while unassigned."""
+        v = self._val[var << 1]
+        return None if v == 0 else v > 0
 
     def decision_literals(self) -> list[int]:
         """The literals decided or assumed on levels 1 and up, in level order.
@@ -431,20 +401,27 @@ class Solver:
 
     # ------------------------------------------------------ incremental solving
 
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        hooks: Optional[PropagatorHooks] = None,
-    ) -> SolveResult:
+    def solve(self, assumptions: Sequence[int] = (), on_complete=None, on_partial=None) -> Optional[list[bool]]:
         """Search under assumptions; learned clauses persist across calls.
 
-        Returns SAT with a complete model that hooks.on_complete (if given)
-        accepted, or UNSAT when no such model satisfies the assumptions.
-        Assumption levels shared with the previous call are kept in place,
-        so runs over similar assumption sets skip most re-propagation.
+        Returns a complete model, indexed by variable (index 0 unused),
+        that on_complete accepted, or None when no such model satisfies
+        the assumptions.  on_complete(model), if given, decides every full
+        assignment: None accepts it, and any other answer is a clause to
+        install before the search goes on.  on_partial(), if given, is
+        called before every decision, counted first, and returns None or
+        such a clause; it reads the assignment through `value`.  Any
+        clause either returns is installed permanently and must be
+        falsified under the current trail, or, from on_partial only, unit;
+        anything else raises PropagatorContractViolation.
+
+        The encoded assumptions take levels 1..len(assumptions), which the
+        search leaves only by backjumping.  Assumption levels shared with
+        the previous call are kept in place, so runs over similar
+        assumption sets skip most re-propagation.
         """
         if not self.ok:
-            return SolveResult("unsat")
+            return None
         asm = [_enc(l) for l in assumptions]
         held = self._asm_stack
         keep = 0
@@ -452,20 +429,7 @@ class Solver:
         while keep < limit_keep and held[keep] == asm[keep]:
             keep += 1
         self._cancel_until(keep)
-        return self._search(asm, hooks)
-
-    def _search(self, asm: list[int], hooks: Optional[PropagatorHooks]) -> SolveResult:
-        """The CDCL main loop.
-
-        The encoded assumptions `asm` take levels 1..len(asm); the loop
-        leaves them only by backjumping.  A full assignment goes to
-        hooks.on_complete: None accepts it, and any other answer is
-        a clause to install before the search goes on, as is a clause from
-        hooks.on_partial.
-        """
         nasm = len(asm)
-        on_partial = hooks.on_partial if hooks is not None else None
-        view = AssignmentView(self)
         while self.ok:
             confl = self._propagate()
             if confl is not None:
@@ -477,7 +441,7 @@ class Solver:
                 p = asm[lvl]
                 v = self._val[p]
                 if v == -1:
-                    return SolveResult("unsat")
+                    return None
                 self._new_level()
                 self._asm_stack.append(p)
                 if v == 0:
@@ -488,10 +452,10 @@ class Solver:
                 val = self._val
                 for v in range(1, self.num_vars + 1):
                     model[v] = val[v << 1] == 1
-                clause = hooks.on_complete(model) if hooks is not None else None
+                clause = on_complete(model) if on_complete is not None else None
                 if clause is None:
                     self._cancel_until(nasm)
-                    return SolveResult("sat", model=model)
+                    return model
                 if not self._handle_hook_clause(clause):
                     break
                 continue
@@ -500,7 +464,7 @@ class Solver:
             # counted before the partial hook, even when its clause preempts the decision
             self.decisions += 1
             if on_partial is not None:
-                clause = on_partial(view)
+                clause = on_partial()
                 if clause is not None:
                     if not self._handle_hook_clause(clause):
                         break
@@ -508,7 +472,7 @@ class Solver:
             lit = self._pick_branch_lit()
             self._new_level()
             self._enqueue(lit, None)
-        return SolveResult("unsat")
+        return None
 
     # ----------------------------------------------------------- hook clauses
 

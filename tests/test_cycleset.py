@@ -91,7 +91,7 @@ def test_apply_permutation_composition_law(data):
 
 def test_extract_partial_empty_assignment():
     vm = encode_axioms(3, Diagonal.identity(3)).varmap
-    p = extract_partial({}, vm)
+    p = extract_partial({}.get, vm)
     for i in range(1, 4):
         assert p.domain(i, i) == mask_of([i])
         for j in range(1, 4):
@@ -112,14 +112,14 @@ def test_extract_partial_paper_example():
             for k, var in vm.cell_vars(i, j):
                 if not want.domain(i, j) & (1 << (k - 1)):
                     assignment[var] = False
-    assert extract_partial(assignment, vm) == want
+    assert extract_partial(assignment.get, vm) == want
 
 
 def test_extract_partial_empty_domain_error():
     vm = encode_axioms(3, Diagonal.identity(3)).varmap
     assignment = {var: False for _, var in vm.cell_vars(1, 2)}
     with pytest.raises(EmptyDomainError):
-        extract_partial(assignment, vm)
+        extract_partial(assignment.get, vm)
 
 
 def test_line_format_roundtrip():

@@ -9,7 +9,7 @@ from cyclesat.cycleset import satisfies_axioms
 from cyclesat.cycloid import CycloidPropagator
 from cyclesat.encoding import decode_model, encode_axioms, matrix_literals
 from cyclesat.oracle import brute_force_all, brute_force_diagonal
-from cyclesat.solver import PropagatorHooks, Solver
+from cyclesat.solver import Solver
 from cyclesat.symmetry import Diagonal, representative_diagonals
 
 
@@ -33,7 +33,7 @@ def enumerate_models(solver, varmap, assumptions=()):
         found.append(decode_model(model, varmap))
         return [-var for var in range(1, varmap.num_matrix_vars + 1) if model[var]]
 
-    solver.solve(assumptions, hooks=PropagatorHooks(on_complete=record_and_block))
+    solver.solve(assumptions, on_complete=record_and_block)
     return found
 
 

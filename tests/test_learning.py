@@ -172,8 +172,8 @@ def returned_clauses(monkeypatch):
             returned.append((clause, self.solutions[-1] if len(self.solutions) > found else None))
             return clause
 
-        def on_partial(self, view):
-            clause = super().on_partial(view)
+        def on_partial(self):
+            clause = super().on_partial()
             if clause is not None:
                 returned.append((clause, None))
             return clause

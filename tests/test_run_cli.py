@@ -16,7 +16,7 @@ from cyclesat.cycleset import CycleSet
 from cyclesat.encoding import encode_axioms, lex_leader_clauses, reference_cnf
 from cyclesat.oracle import brute_force_all, is_lex_min, lex_min_reps
 from cyclesat.run import BACKENDS, RunConfig, render_stats_table, run_enumerate
-from cyclesat.solver import PropagatorHooks, Solver
+from cyclesat.solver import Solver
 from cyclesat.symmetry import PARTITIONS_MAX_N, Diagonal, representative_diagonals
 
 
@@ -473,6 +473,16 @@ def test_cli_out_onto_a_directory_exits_2(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_contract_violation_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # a "blocking" clause of the decisions themselves is satisfied by the
+    # model it should exclude, which the solver refuses
+    monkeypatch.setattr(run, "blocking_clause", lambda decisions: list(decisions))
+    out, stats = tmp_path / "out.txt", tmp_path / "stats.json"
+    assert main(["enumerate", "--size", "4", "--out", str(out), "--stats-out", str(stats)]) == 3
+    assert "internal contract violation" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no solutions, no stats, no temporary file
+
+
 def test_cli_unwritable_stats_out_exits_2_and_keeps_out(tmp_path, capsys, monkeypatch):
     _no_enumeration(monkeypatch)
     fresh = tmp_path / "fresh.txt"
@@ -558,7 +568,7 @@ def dumped_models(base, diag):
                                        for j in range(1, diag.n + 1)]))
         return [-var for var in cells if model[var]]
 
-    solver.solve(hooks=PropagatorHooks(on_complete=record_and_block))
+    solver.solve(on_complete=record_and_block)
     return found
 
 

@@ -8,46 +8,46 @@ from hypothesis import strategies as st
 import cyclesat.run as run
 from cyclesat.errors import PropagatorContractViolation
 from cyclesat.run import RunConfig, enumerate_diagonal
-from cyclesat.solver import PropagatorHooks, Solver, _enc
+from cyclesat.solver import Solver, _enc
 from cyclesat.symmetry import representative_diagonals
 
 
 def test_basic_sat():
     s = Solver(2)
     s.add_cnf([[1, 2], [-1]])
-    res = s.solve()
-    assert res.status == "sat"
-    assert res.model[2] and not res.model[1]
+    model = s.solve()
+    assert model is not None
+    assert model[2] and not model[1]
 
 
 def test_unsat_under_assumption():
     s = Solver(1)
     s.add_cnf([[1]])
-    assert s.solve([-1]).status == "unsat"
+    assert s.solve([-1]) is None
 
 
 def test_unsat_under_implied_assumption_conflict():
     # x1 -> x2, x2 -> x3, assume x1 and -x3 plus irrelevant assumptions
     s = Solver(5)
     s.add_cnf([[-1, 2], [-2, 3]])
-    assert s.solve([4, 5, 1, -3]).status == "unsat"
+    assert s.solve([4, 5, 1, -3]) is None
 
 
 def test_learned_clauses_persist_and_later_sat():
     s = Solver(3)
     s.add_cnf([[1, 2, 3], [-1, 2], [-2, 3]])
-    assert s.solve([-3]).status == "unsat"
-    res = s.solve()
-    assert res.status == "sat"
-    assert res.model[3]
+    assert s.solve([-3]) is None
+    model = s.solve()
+    assert model is not None
+    assert model[3]
 
 
-def brute_force_status(clauses, num_vars):
+def brute_force_sat(clauses, num_vars):
     for bits in itertools.product([False, True], repeat=num_vars):
         assign = (None,) + bits
         if all(any(assign[abs(l)] == (l > 0) for l in cl) for cl in clauses):
-            return "sat"
-    return "unsat"
+            return True
+    return False
 
 
 def literals(num_vars):
@@ -64,22 +64,19 @@ def test_random_cnf_against_truth_table(data):
     )
     s = Solver(num_vars)
     s.add_cnf(clauses)
-    res = s.solve()
-    assert res.status == brute_force_status(clauses, num_vars)
-    if res.status == "sat":
-        assign = res.model
+    assign = s.solve()
+    assert (assign is not None) == brute_force_sat(clauses, num_vars)
+    if assign is not None:
         assert all(any(assign[abs(l)] == (l > 0) for l in cl) for cl in clauses)
 
 
 def test_add_external_unit_clause_is_permanent():
     s = Solver(2, num_static=2)  # positive phases: the first model has x1 true
     s.add_cnf([[1, 2]])
-    assert s.solve().model[1]
-    hooks = PropagatorHooks(on_complete=lambda model: [-1] if model[1] else None)
-    res = s.solve(hooks=hooks)
-    assert res.status == "sat" and not res.model[1]
-    res = s.solve([1])
-    assert res.status == "unsat"
+    assert s.solve()[1]
+    model = s.solve(on_complete=lambda model: [-1] if model[1] else None)
+    assert model is not None and not model[1]
+    assert s.solve([1]) is None
 
 
 def holds(clause, value):
@@ -111,9 +108,9 @@ def test_lazy_clauses_through_both_hooks_match_truth_table(data):
         returned.add(i)
         return h[i]
 
-    def on_partial(view):
+    def on_partial():
         for i, clause in enumerate(h):
-            vals = holds(clause, view.get)
+            vals = holds(clause, s.value)
             if True not in vals and vals.count(None) <= 1:
                 return give(i)
         return None
@@ -127,8 +124,7 @@ def test_lazy_clauses_through_both_hooks_match_truth_table(data):
 
     s = Solver(num_vars, num_static=data.draw(st.integers(0, num_vars)))
     s.add_cnf(f)
-    hooks = PropagatorHooks(on_complete=on_complete, on_partial=on_partial)
-    assert s.solve(hooks=hooks).status == "unsat"
+    assert s.solve(on_complete=on_complete, on_partial=on_partial) is None
     expected = [
         bits for bits in itertools.product([False, True], repeat=num_vars)
         if all(any(bits[abs(l) - 1] == (l > 0) for l in cl) for cl in f + h)
@@ -137,9 +133,10 @@ def test_lazy_clauses_through_both_hooks_match_truth_table(data):
     assert sorted(models) == expected
 
 
-def recording_hooks(block, veto=lambda m: None):
-    """Enumeration as a propagator: a model `veto` lets through is recorded
-    and blocked with block(model); a clause from `veto` rejects it."""
+def recording(block, veto=lambda m: None):
+    """Enumeration as an on_complete callback: a model `veto` lets through
+    is recorded and blocked with block(model); a clause from `veto`
+    rejects it."""
     models = []
 
     def on_complete(model):
@@ -149,7 +146,7 @@ def recording_hooks(block, veto=lambda m: None):
         models.append(model)
         return block(model)
 
-    return PropagatorHooks(on_complete=on_complete), models
+    return on_complete, models
 
 
 def block_1_2(m):
@@ -160,8 +157,8 @@ def test_enumeration_blocks_all_models():
     # models of (x1 or x2): three of them
     s = Solver(2)
     s.add_cnf([[1, 2]])
-    hooks, models = recording_hooks(block_1_2)
-    assert s.solve(hooks=hooks).status == "unsat"
+    on_complete, models = recording(block_1_2)
+    assert s.solve(on_complete=on_complete) is None
     seen = [(model[1], model[2]) for model in models]
     assert sorted(seen) == [(False, True), (True, False), (True, True)]
 
@@ -176,8 +173,8 @@ def test_enumeration_on_complete_vetoes_model():
             return [-1, -2]
         return None
 
-    hooks, models = recording_hooks(block_1_2, veto)
-    assert s.solve(hooks=hooks).status == "unsat"
+    on_complete, models = recording(block_1_2, veto)
+    assert s.solve(on_complete=on_complete) is None
     seen = [(model[1], model[2]) for model in models]
     assert sorted(seen) == [(False, True), (True, False)]
 
@@ -192,10 +189,10 @@ def test_solve_returns_the_model_the_hook_accepts():
         checked.append(tuple(model[1:]))
         return [-3] if model[3] else None
 
-    res = s.solve(hooks=PropagatorHooks(on_complete=no_x3))
-    assert res.status == "sat" and res.model[1:] == [True, True, False]
+    model = s.solve(on_complete=no_x3)
+    assert model is not None and model[1:] == [True, True, False]
     assert checked == [(True, True, True), (True, True, False)]
-    assert s.solve([3]).status == "unsat"  # the rejecting clause stays
+    assert s.solve([3]) is None  # the rejecting clause stays
 
 
 def test_hook_contract_violation():
@@ -205,17 +202,23 @@ def test_hook_contract_violation():
     def bad(model):
         return [1, 2]  # satisfied by every reported model
 
-    hooks = PropagatorHooks(on_complete=bad)
-    with pytest.raises(PropagatorContractViolation):
-        s.solve(hooks=hooks)
+    with pytest.raises(PropagatorContractViolation, match="satisfied"):
+        s.solve(on_complete=bad)
+
+    # before the first decision nothing is assigned: a clause returned
+    # then holds two free literals, neither falsified nor unit
+    s = Solver(2)
+    s.add_cnf([[1, 2]])
+    with pytest.raises(PropagatorContractViolation, match="several free literals"):
+        s.solve(on_partial=lambda: [-1, -2])
 
 
 def test_determinism_same_model_sequence():
     def run():
         s = Solver(3, seed=0)
         s.add_cnf([[1, 2, 3]])
-        hooks, models = recording_hooks(lambda m: [-l if m[l] else l for l in (1, 2, 3)])
-        s.solve(hooks=hooks)
+        on_complete, models = recording(lambda m: [-l if m[l] else l for l in (1, 2, 3)])
+        s.solve(on_complete=on_complete)
         return [tuple(model[1:]) for model in models]
 
     assert run() == run()
@@ -284,8 +287,8 @@ def test_watch_lists_stay_consistent_through_search(data):
         return [-v if model[v] else v for v in range(1, num_vars + 1)]
 
     # vetoing every model with x1 true installs external clauses
-    hooks, _ = recording_hooks(negation, veto=lambda m: negation(m) if m[1] else None)
-    s.solve(hooks=hooks)
+    on_complete, _ = recording(negation, veto=lambda m: negation(m) if m[1] else None)
+    s.solve(on_complete=on_complete)
     assert_each_clause_watched_twice(s)
 
 
@@ -297,14 +300,14 @@ def models_of(clauses, num_vars):
 
 
 def decision_blocking(s, models):
-    """Enumeration hooks that record each model and block its decisions."""
+    """An on_complete callback that records each model and blocks its decisions."""
     def on_complete(model):
         models.append(tuple(model[1:]))
         decisions = s.decision_literals()
         assert len({abs(l) for l in decisions}) == len(decisions)
         return [-l for l in decisions]
 
-    return PropagatorHooks(on_complete=on_complete)
+    return on_complete
 
 
 def test_decision_blocking_enumerates_every_model_once():
@@ -319,9 +322,9 @@ def test_decision_blocking_enumerates_every_model_once():
         s = Solver(num_vars, num_static=rnd.randint(0, num_vars), max_learnts=rnd.choice([2.0, 4000.0]))
         s.add_cnf(clauses)
         under, rest = [], []
-        assert s.solve(assumptions, hooks=decision_blocking(s, under)).status == "unsat"
+        assert s.solve(assumptions, on_complete=decision_blocking(s, under)) is None
         assert_each_clause_watched_twice(s)
-        assert s.solve(hooks=decision_blocking(s, rest)).status == "unsat"
+        assert s.solve(on_complete=decision_blocking(s, rest)) is None
         assert_each_clause_watched_twice(s)
         want = models_of(clauses, num_vars)
         want_under = models_of(clauses + [[l] for l in assumptions], num_vars)
@@ -349,8 +352,8 @@ def test_asserting_hook_clause_is_no_conflict():
         return None
 
     s._analyze = None  # no analysis may run
-    res = s.solve(hooks=PropagatorHooks(on_complete=on_complete))
-    assert res.status == "sat" and seen == [(True, True, True), (True, True, False)]
+    assert s.solve(on_complete=on_complete) is not None
+    assert seen == [(True, True, True), (True, True, False)]
     assert s.conflicts == 0 and not s._learnts
 
 
@@ -367,7 +370,7 @@ def test_hook_clause_with_two_top_level_literals_is_analysed():
         models.append(tuple(model[1:]))
         return [-2, -3] if len(models) == 1 else None
 
-    assert s.solve(hooks=PropagatorHooks(on_complete=on_complete)).status == "sat"
+    assert s.solve(on_complete=on_complete) is not None
     assert models == [(True, True, True), (True, False, True)]
     assert s.conflicts == 1 and analysed == [[_enc(-2), _enc(-3)]]
 
